@@ -7,7 +7,7 @@ Library layout:
 - ``distributed``: local nodes, fusion center, round-synchronous protocol
 - ``lyapunov``: decrease monitor for the error dynamics (oracle mode)
 - ``experiment``: seeded systems/signals, side-by-side runs, CSV output
-- ``kernels``: numba-compiled trajectory loops with a pure-numpy fallback
+- ``kernels``: numpy trajectory loops, the one run path of both estimators
 - ``cli``: the ``misoid`` command
 """
 from .errors import (

@@ -114,13 +114,6 @@ class BlockState:
             out[sl, sl] = np.outer(phi[sl], phi[sl])
         return out
 
-    def gamma_inv2_diag(self) -> np.ndarray:
-        """Diagonal of Gamma_B^-2 as a length-n vector."""
-        out = np.empty(self.n)
-        for i in range(self.m):
-            out[self.block(i)] = 1.0 / self.gammas[i] ** 2
-        return out
-
 
 def init_nodes(orders, c: float, gamma: float) -> list[NodeState]:
     """Zero estimates with gain c*I per node and a common constant gamma."""

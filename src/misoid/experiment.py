@@ -8,19 +8,17 @@ one experiment always consume the identical signal realization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import central as central_mod
-from . import distributed as dist_mod
 from . import kernels
 from .errors import DimensionError, ParameterError
-from .fir import FirModule, MisoSystem, RegressorBank, push_inputs
+from .fir import FirModule, MisoSystem
 from .lyapunov import (
-    CentralRunTrace,
-    DistributedRunTrace,
     MonitorReport,
+    RunTrace,
     check_trajectory,
     monitor_columns,
     monitor_row,
@@ -31,6 +29,21 @@ _STREAM_SYSTEM = 0
 _STREAM_INPUTS = 1
 _STREAM_NOISE = 2
 _STREAM_MC_NOISE = 3
+
+
+def _check_scale(name: str, value: float, zero_ok: bool = False):
+    """Reject NaN, infinities, negatives and values whose square is 0 or inf.
+
+    gamma^2 and sigma^2 enter the recursions, and c and its reciprocal are
+    the initial gain and information, so each scale keeps its square a
+    positive finite float; only noise_std may be exactly 0.
+    """
+    if not ((zero_ok and value == 0) or (value > 0 and 0 < value * value < math.inf)):
+        rel = ">= 0" if zero_ok else "> 0"
+        raise ParameterError(
+            f"{name}={value!r} is out of range: need {name} {rel} and, "
+            f"unless it is 0, 0 < {name}^2 < inf"
+        )
 
 
 @dataclass(frozen=True)
@@ -53,11 +66,10 @@ class ExperimentConfig:
             raise ParameterError("order_range must satisfy 1 <= lo <= hi <= 64")
         if self.m < 1:
             raise ParameterError("m must be >= 1")
-        for name in ("param_std", "input_std", "gamma", "init_c"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be > 0")
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
+        for name in ("param_std", "input_std", "gamma", "init_c", "noise_std"):
+            _check_scale(name, getattr(self, name), zero_ok=name == "noise_std")
         if self.samples < 0 or self.monte_carlo_runs < 0:
             raise ParameterError("samples and monte_carlo_runs must be >= 0")
         if self.mode not in ("central", "distributed", "both"):
@@ -152,89 +164,67 @@ class Trajectory:
         return float(self.err_norm_sq[-1])
 
 
+def _monitor_report(mode, system, config, phis, theta_hist, alpha, weights, offsets, gains=None):
+    """Lyapunov records of a kernel run, or None for a run without samples."""
+    if not config.samples:
+        return None
+    trace = RunTrace(
+        theta_true=system.theta_true(),
+        thetas=np.vstack([np.zeros(system.n), theta_hist]),
+        phis=phis,
+        alphas=alpha,
+        noise_var=config.noise_std**2,
+        info0=np.eye(system.n) / config.init_c,
+        weights=weights,
+        offsets=offsets,
+        gains=gains,
+    )
+    return check_trajectory(trace, mode)
+
+
 def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
                 monitor: bool = False) -> Trajectory:
     """Central recursive LSE over the given signals.
 
-    Uses the gamma-driven information recursion (the comparison variant);
-    the trajectory loop runs through the compiled kernel unless monitoring
-    is requested, in which case per-step states are retained.
+    Uses the gamma-driven information recursion (the comparison variant)
+    through the trajectory kernel; monitoring adds the Lyapunov records
+    computed from the kernel's estimates and gains.
     """
     phis = build_regressors(system, inputs)
     ys = outputs_from_regressors(system, phis, noise)
-    noise_var = config.noise_std**2
-    theta0 = np.zeros(system.n)
-    sigma0 = config.init_c * np.eye(system.n)
-
-    if not monitor:
-        theta_hist, eps, alpha = kernels.central_trajectory(
-            phis, ys, theta0, sigma0, noise_var, 1.0 / config.gamma**2
-        )
-        errors = theta_hist - system.theta_true()
-        return Trajectory(mode="central", errors=errors, eps=eps, alpha=alpha)
-
-    state = central_mod.from_scratch_init(
-        system.n, config.init_c, noise_var=noise_var, mode="gamma"
+    weight = 1.0 / config.gamma**2
+    theta_hist, eps, alpha = kernels.central_trajectory(
+        phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
+        config.noise_std**2, weight,
     )
-    states = [state]
-    eps = np.empty(config.samples)
-    alpha = np.empty(config.samples)
-    errors = np.empty((config.samples, system.n))
-    for k in range(config.samples):
-        phi = phis[k]
-        s = float(phi @ state.sigma_mat @ phi)
-        alpha[k] = 1.0 / (noise_var + s)
-        eps[k] = ys[k] - float(phi @ state.theta_hat)
-        state = central_mod.rls_update_gamma(state, phi, ys[k], config.gamma)
-        states.append(state)
-        errors[k] = state.theta_hat - system.theta_true()
-    trace = CentralRunTrace(
-        theta_true=system.theta_true(), states=states, phis=phis, gamma=config.gamma
-    )
-    report = check_trajectory(trace, "central") if config.samples else None
+    report = None
+    if monitor:
+        report = _monitor_report("central", system, config, phis, theta_hist, alpha,
+                          np.array([weight]), np.array([0, system.n]))
+    errors = theta_hist - system.theta_true()
     return Trajectory(mode="central", errors=errors, eps=eps, alpha=alpha, monitor=report)
 
 
 def run_distributed(system: MisoSystem, inputs, noise, config: ExperimentConfig,
                     monitor: bool = False) -> Trajectory:
-    """Distributed fusion-center estimator over the given signals."""
+    """Distributed fusion-center estimator over the given signals.
+
+    Runs the fused recursion through the trajectory kernel; monitoring adds
+    the Lyapunov records computed from its estimates and gain scalars.
+    """
     phis = build_regressors(system, inputs)
     ys = outputs_from_regressors(system, phis, noise)
-    noise_var = config.noise_std**2
     offsets = block_offsets(system)
-
-    if not monitor:
-        theta0 = np.zeros(system.n)
-        sigma0 = config.init_c * np.eye(system.n)
-        gammas = np.full(system.m, float(config.gamma))
-        theta_hist, eps, alpha, _, _ = kernels.distributed_trajectory(
-            phis, ys, theta0, sigma0, offsets, gammas, noise_var
-        )
-        errors = theta_hist - system.theta_true()
-        return Trajectory(mode="distributed", errors=errors, eps=eps, alpha=alpha)
-
-    nodes = dist_mod.init_nodes(system.orders, config.init_c, config.gamma)
-    center = dist_mod.FusionCenter(noise_var=noise_var, m=system.m)
-    blocks = [dist_mod.stack(nodes)]
-    eps = np.empty(config.samples)
-    alpha = np.empty(config.samples)
-    errors = np.empty((config.samples, system.n))
-    bank = RegressorBank.for_system(system)
-    for k in range(config.samples):
-        bank = push_inputs(bank, inputs[k])
-        nodes, tr = dist_mod.run_round(nodes, center, bank, ys[k], k=k)
-        blocks.append(dist_mod.stack(nodes))
-        eps[k] = tr.down.prediction_error
-        alpha[k] = tr.down.alpha
-        errors[k] = blocks[-1].theta - system.theta_true()
-    trace = DistributedRunTrace(
-        theta_true=system.theta_true(),
-        blocks=blocks,
-        phis=phis,
-        alphas=alpha,
-        noise_var=noise_var,
+    gammas = np.full(system.m, float(config.gamma))
+    theta_hist, eps, alpha, _, gains = kernels.distributed_trajectory(
+        phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
+        offsets, gammas, config.noise_std**2,
     )
-    report = check_trajectory(trace, "distributed") if config.samples else None
+    report = None
+    if monitor:
+        report = _monitor_report("distributed", system, config, phis, theta_hist, alpha,
+                          1.0 / gammas**2, offsets, gains)
+    errors = theta_hist - system.theta_true()
     return Trajectory(mode="distributed", errors=errors, eps=eps, alpha=alpha, monitor=report)
 
 
@@ -311,14 +301,21 @@ def write_trajectory_csv(trajectory: Trajectory, path):
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     """Read a trajectory CSV back into named float columns."""
-    with open(path) as fh:
-        header = fh.readline().strip()
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            rows = [line.strip().split(",") for line in fh if line.strip()]
         if not header:
             raise ParameterError(f"{path}: empty file")
         names = header.split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(names)}
-    return cols
+        for i, row in enumerate(rows):
+            if len(row) != len(names):
+                raise ParameterError(
+                    f"{path}: data row {i + 1} has {len(row)} fields, the header {len(names)}"
+                )
+        return {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(names)}
+    except ValueError as exc:  # undecodable bytes or a field that is not a number
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def first_crossing(values, threshold_frac: float):

@@ -167,7 +167,12 @@ def save_system(system: MisoSystem, path):
 
 
 def load_system(path) -> MisoSystem:
-    with open(path) as fh:
-        doc = json.load(fh)
-    modules = tuple(FirModule(np.asarray(c, dtype=float)) for c in doc["modules"])
-    return MisoSystem(modules, float(doc.get("noise_std", 0.0)))
+    """Read a system file; a malformed one raises ParameterError naming the path."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        modules = tuple(FirModule(np.asarray(c, dtype=float)) for c in doc["modules"])
+        return MisoSystem(modules, float(doc.get("noise_std", 0.0)))
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError,
+            ParameterError) as exc:
+        raise ParameterError(f"{path}: not a valid system file ({exc!r})") from None

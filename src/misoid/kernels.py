@@ -1,25 +1,40 @@
-"""Whole-trajectory inner loops, optionally JIT-compiled with numba.
+"""Whole-trajectory inner loops in numpy.
 
 The per-sample recursions are cheap numpy calls executed thousands of
-times, so the Python-level loop dominates runtime in long runs.  The
-loops below are written in the numba-compatible numpy subset and compiled
-with ``@njit`` when numba is importable; setting ``MISOID_DISABLE_NUMBA=1``
-(or numba being absent) selects the identical pure-numpy code path.
+times, so running them as one loop over preallocated arrays, instead of
+through the object-level protocol, is what keeps long runs fast.  Plain,
+monitored and Monte Carlo runs all go through these two functions; the
+protocol in ``central`` and ``distributed`` is the specification they are
+tested against.
 
-``benchmarks/bench_kernels.py`` times both paths side by side.
+Both kernels fail like the protocol: they raise ``NumericError`` naming
+the first step where the shared gain denominator is not a positive finite
+number or an estimate, prediction error or gain is non-finite.
 """
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-
-def _numba_wanted() -> bool:
-    return os.environ.get("MISOID_DISABLE_NUMBA", "0").lower() not in ("1", "true", "yes")
+from .errors import NumericError
 
 
-def _central_trajectory(phis, ys, theta0, sigma0, noise_var, info_weight):
+def _bad_denominator(k: int, denom) -> NumericError:
+    return NumericError(
+        f"step {k}: alpha denominator sigma^2 + phi' Sigma phi = {float(denom)!r} "
+        "is not a positive finite number"
+    )
+
+
+def _check_finite(theta_hist, eps_hist, alpha_hist):
+    ok = np.isfinite(theta_hist).all(axis=1) & np.isfinite(eps_hist) & np.isfinite(alpha_hist)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NumericError(f"step {k}: non-finite estimate, prediction error or gain")
+
+
+def central_trajectory(phis, ys, theta0, sigma0, noise_var, info_weight):
     """Run the central recursion over all samples.
 
     phis is (N, n) with row k the regressor used at step k; info_weight is
@@ -37,7 +52,10 @@ def _central_trajectory(phis, ys, theta0, sigma0, noise_var, info_weight):
         phi = phis[k]
         c = sigma @ phi
         s = phi @ c
-        alpha = 1.0 / (noise_var + s)
+        denom = noise_var + s
+        if not 0.0 < denom < math.inf:
+            raise _bad_denominator(k, denom)
+        alpha = 1.0 / denom
         eps = ys[k] - phi @ theta
         theta = theta + alpha * eps * c
         sigma = sigma - (c.reshape(n, 1) * c.reshape(1, n)) / (sm_denom_base + s)
@@ -45,10 +63,11 @@ def _central_trajectory(phis, ys, theta0, sigma0, noise_var, info_weight):
         theta_hist[k] = theta
         eps_hist[k] = eps
         alpha_hist[k] = alpha
+    _check_finite(theta_hist, eps_hist, alpha_hist)
     return theta_hist, eps_hist, alpha_hist
 
 
-def _distributed_trajectory(phis, ys, theta0, sigma0, offsets, gammas, noise_var):
+def distributed_trajectory(phis, ys, theta0, sigma0, offsets, gammas, noise_var):
     """Run the fused distributed recursion over all samples.
 
     sigma0 is the block-diagonal stacked gain matrix; offsets (length m+1)
@@ -80,7 +99,10 @@ def _distributed_trajectory(phis, ys, theta0, sigma0, offsets, gammas, noise_var
             pred_sum += preds_hist[k, i]
             gain_sum += gains_hist[k, i]
         eps = ys[k] - pred_sum
-        alpha = 1.0 / (noise_var + gain_sum)
+        denom = noise_var + gain_sum
+        if not 0.0 < denom < math.inf:
+            raise _bad_denominator(k, denom)
+        alpha = 1.0 / denom
         for i in range(m):
             a, b = offsets[i], offsets[i + 1]
             ni = b - a
@@ -93,25 +115,5 @@ def _distributed_trajectory(phis, ys, theta0, sigma0, offsets, gammas, noise_var
         theta_hist[k] = theta
         eps_hist[k] = eps
         alpha_hist[k] = alpha
+    _check_finite(theta_hist, eps_hist, alpha_hist)
     return theta_hist, eps_hist, alpha_hist, preds_hist, gains_hist
-
-
-NUMBA_ENABLED = False
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        central_trajectory = njit(cache=True)(_central_trajectory)
-        distributed_trajectory = njit(cache=True)(_distributed_trajectory)
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if not NUMBA_ENABLED:
-    central_trajectory = _central_trajectory
-    distributed_trajectory = _distributed_trajectory
-
-
-def using_numba() -> bool:
-    """True when the JIT-compiled kernels are active."""
-    return NUMBA_ENABLED

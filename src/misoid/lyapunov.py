@@ -1,10 +1,14 @@
 """Lyapunov monitor: decrease checks for the estimation error dynamics.
 
 The monitor is an oracle-mode verification instrument: it needs the true
-parameter vector, evaluates the quadratic Lyapunov function along a
-recorded trajectory, compares the direct one-step difference against the
-closed-form decrease expressions, and checks the gamma-largeness
-sufficiency bound for the distributed scheme.
+parameter vector, evaluates the quadratic Lyapunov function along the
+estimates a trajectory kernel produced, compares the direct one-step
+difference against the closed-form decrease expressions, and checks the
+gamma-largeness sufficiency bound for the distributed scheme.  It is a
+post-pass: the gain sequence of both recursions depends on the regressors
+only, so the kernel's alphas and per-block gain scalars are all it needs
+besides the estimates.  The single-step functions below, written on the
+gain matrices, are the reference forms the post-pass is tested against.
 """
 from __future__ import annotations
 
@@ -12,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .central import CentralState
-from .distributed import BlockState
 from .errors import DimensionError, ParameterError
 
 #: decrease violations beyond this are flagged
@@ -115,24 +117,25 @@ class LyapRecord:
 
 
 @dataclass(frozen=True)
-class CentralRunTrace:
-    """States 0..N and the regressors that drove each transition."""
+class RunTrace:
+    """Estimates 0..N of one run and what drove each transition.
 
-    theta_true: np.ndarray
-    states: list[CentralState]
-    phis: np.ndarray  # (N, n)
-    gamma: float | None = None  # None: sigma-driven recursion
+    Block i spans offsets[i]:offsets[i+1] and adds weights[i] * phi_i phi_i'
+    to the information matrix at every step; the central recursion is the
+    one-block case with weight 1/gamma^2.  gains holds the per-block gain
+    scalars phi_i' Sigma_i phi_i of every step and is needed in distributed
+    mode only.
+    """
 
-
-@dataclass(frozen=True)
-class DistributedRunTrace:
-    """Stacked snapshots 0..N plus per-round regressors and shared gains."""
-
-    theta_true: np.ndarray
-    blocks: list[BlockState]
+    theta_true: np.ndarray  # (n,)
+    thetas: np.ndarray  # (N+1, n)
     phis: np.ndarray  # (N, n)
     alphas: np.ndarray  # (N,)
     noise_var: float
+    info0: np.ndarray  # (n, n) information matrix of state 0
+    weights: np.ndarray  # (m,)
+    offsets: np.ndarray  # (m+1,)
+    gains: np.ndarray | None = None  # (N, m)
 
 
 @dataclass(frozen=True)
@@ -149,14 +152,6 @@ class MonitorReport:
         return [r.k for r in self.records if r.orthogonal_flag]
 
     @property
-    def gamma_bound_held_everywhere(self) -> bool:
-        """True when at every step the bound was satisfied or vacuous."""
-        return all(
-            r.gamma_bound_degenerate or (r.gamma_bound is not None and r.gamma_sum < r.gamma_bound)
-            for r in self.records
-        )
-
-    @property
     def gamma_implication_ok(self) -> bool:
         """Every step where the bound certifies decrease indeed decreased."""
         return all(
@@ -166,82 +161,63 @@ class MonitorReport:
         )
 
 
-def check_trajectory(trace, mode: str) -> MonitorReport:
-    """Evaluate per-step Lyapunov records along a recorded noise-free run."""
-    if mode == "central":
-        return _check_central(trace)
-    if mode == "distributed":
-        return _check_distributed(trace)
-    raise ParameterError(f"unknown monitor mode {mode!r}")
+def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
+    """Evaluate per-step Lyapunov records along a recorded noise-free run.
 
-
-def _check_central(trace: CentralRunTrace) -> MonitorReport:
-    if len(trace.states) < 2:
+    No gain matrix is needed: since alpha phi'Sigma phi = 1 - alpha sigma^2,
+    every closed form follows from alpha, phi, the error and the per-block
+    gain scalars, and W from the running information matrix.
+    """
+    if mode not in ("central", "distributed"):
+        raise ParameterError(f"unknown monitor mode {mode!r}")
+    n_steps = trace.phis.shape[0]
+    if n_steps < 1:
         raise ParameterError("trace must contain at least two states")
+    errs = trace.thetas - trace.theta_true
+    sizes = np.diff(trace.offsets)
+    block_of = np.repeat(np.arange(sizes.size), sizes)
+    # blockdiag(w_i 1 1'): one step adds weight_mat * phi phi' to the information
+    weight_mat = np.where(block_of[:, None] == block_of, trace.weights[block_of][:, None], 0.0)
+    info = np.array(trace.info0, dtype=float)
+    weight_sum = float(np.sum(trace.weights))  # sum of 1/gamma_i^2, the central weight
+    w_next = w_quadratic(errs[0], info)
     records = []
-    for k in range(len(trace.states) - 1):
-        st, st_next = trace.states[k], trace.states[k + 1]
-        err = st.theta_hat - trace.theta_true
-        err_next = st_next.theta_hat - trace.theta_true
-        phi = trace.phis[k]
-        w = w_quadratic(err, st.info_mat)
-        w_next = w_quadratic(err_next, st_next.info_mat)
+    for k in range(n_steps):
+        err, phi, alpha = errs[k], trace.phis[k], float(trace.alphas[k])
+        info += weight_mat * np.outer(phi, phi)
+        w, w_next = w_next, w_quadratic(errs[k + 1], info)
         dw = w_next - w
-        if trace.gamma is None:
-            closed = delta_w_central_closed(err, phi, st.sigma_mat, np.sqrt(st.noise_var))
-        else:
-            closed = delta_w_central_general(
-                err, phi, st.sigma_mat, st.noise_var, 1.0 / trace.gamma**2
-            )
-        records.append(
-            LyapRecord(
-                k=k,
-                w=w,
-                delta_w=dw,
-                delta_w_closed=closed,
-                orthogonal_flag=is_orthogonal(phi, err),
-                violation_flag=dw > VIOLATION_TOL,
-            )
+        proj = float(err @ phi)
+        a_sig = alpha * trace.noise_var  # = 1 - alpha phi'Sigma phi
+        common = dict(
+            k=k,
+            w=w,
+            delta_w=dw,
+            orthogonal_flag=is_orthogonal(phi, err),
+            violation_flag=dw > VIOLATION_TOL,
         )
-    return MonitorReport(mode="central", records=records)
-
-
-def _check_distributed(trace: DistributedRunTrace) -> MonitorReport:
-    if len(trace.blocks) < 2:
-        raise ParameterError("trace must contain at least two states")
-    records = []
-    for k in range(len(trace.blocks) - 1):
-        blk, blk_next = trace.blocks[k], trace.blocks[k + 1]
-        err = blk.theta - trace.theta_true
-        err_next = blk_next.theta - trace.theta_true
-        phi = trace.phis[k]
-        alpha = float(trace.alphas[k])
-        w = w_quadratic(err, blk.info_b)
-        w_next = w_quadratic(err_next, blk_next.info_b)
-        dw = w_next - w
-        odw = overline_delta_w_b(err, phi, blk.sigma_b, alpha)
-        gamma_sum = float(np.sum(1.0 / blk.gammas**2))
-        orthogonal = is_orthogonal(phi, err)
+        if mode == "central":
+            closed = proj**2 * (-alpha * (1.0 + a_sig) + weight_sum * a_sig**2)
+            records.append(LyapRecord(delta_w_closed=closed, **common))
+            continue
+        odw = -alpha * proj**2 * (1.0 + a_sig)
         bound = None
-        degenerate = False
         if odw < 0:
-            f_mat = np.eye(blk.n) - alpha * blk.sigma_b @ np.outer(phi, phi)
-            bound = gamma_sufficiency_bound(err, f_mat, blk.phi_b(phi), odw)
-            degenerate = bound is None
+            # err'F' Phi_B F err with F = I - alpha Sigma_B phi phi', block by block
+            p_blocks = np.add.reduceat(err * phi, trace.offsets[:-1])
+            denom = float(np.sum((p_blocks - alpha * proj * trace.gains[k]) ** 2))
+            if denom > DEGENERATE_DENOM_TOL:
+                bound = abs(odw) / denom
         records.append(
             LyapRecord(
-                k=k,
-                w=w,
-                delta_w=dw,
                 overline_delta_w=odw,
                 gamma_bound=bound,
-                gamma_bound_degenerate=degenerate,
-                gamma_sum=gamma_sum,
-                orthogonal_flag=orthogonal,
-                violation_flag=dw > VIOLATION_TOL,
+                gamma_bound_degenerate=odw < 0 and bound is None,
+                gamma_sum=weight_sum,
+                **common,
             )
         )
-    return MonitorReport(mode="distributed", records=records)
+    return MonitorReport(mode=mode, records=records)
 
 
 def monitor_columns(mode: str) -> list[str]:

@@ -1,5 +1,13 @@
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misoid.cli import main
 from misoid.experiment import (
@@ -167,3 +175,121 @@ class TestCompare:
         bad.write_text("k,foo\n0,1.0\n")
         a, _ = self._make_run(tmp_path)
         assert main(["compare", "--a", str(bad), "--b", str(a)]) == 1
+
+
+class TestErrorContract:
+    """Malformed files and flags end in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("content", [
+        "not json",
+        '{"noise_std": 0.1}',
+        '{"modules": [[1.0, "a"]]}',
+    ])
+    def test_malformed_system_file_exit_1(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code = main(["run", "--system", str(path), "--out-prefix", str(tmp_path / "x")])
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_ragged_csv_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("k,err_norm_sq\n0,1.0\n1\n")
+        assert main(["compare", "--a", str(path), "--b", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "1e-200"), ("--gamma", "1e200"), ("--sigma", "nan"),
+        ("--sigma", "inf"), ("--init-c", "nan"), ("--seed", "-1"),
+    ])
+    def test_out_of_range_flag_exit_1(self, tmp_path, flag, value):
+        system = _gen_system(tmp_path)
+        assert main(["run", "--system", str(system), "--samples", "5", flag, value,
+                     "--out-prefix", str(tmp_path / "x")]) == 1
+
+    def test_gain_collapse_in_monitor_exit_2(self, tmp_path, capsys):
+        # gamma -> 0 turns each node's update into a projection, so with
+        # sigma = 0 the shared gain denominator reaches 0 after max order steps
+        system = _gen_system(tmp_path, modules=3, max_order=2)
+        code = main(["monitor", "--system", str(system), "--mode", "distributed",
+                     "--samples", "20", "--sigma", "0", "--gamma", "1e-150",
+                     "--out", str(tmp_path / "m.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "alpha denominator" in err and "Traceback" not in err
+
+
+_SANE_NUMBERS = st.sampled_from(["0", "0.1", "1", "100"])
+_NUMBERS = st.one_of(
+    _SANE_NUMBERS,
+    _SANE_NUMBERS,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e-200", "1e-150", "1e200", "1e150", "-1", "abc"]),
+)
+_VALID_SYSTEM = st.lists(st.lists(st.floats(-10, 10), min_size=1, max_size=3),
+                         min_size=1, max_size=3).map(lambda mods: {"modules": mods})
+_SYSTEM_DOCS = st.one_of(
+    _VALID_SYSTEM.map(lambda doc: json.dumps(doc).encode()),
+    _VALID_SYSTEM.map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=40),
+    st.text(max_size=40).map(str.encode),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "modules": st.one_of(
+                st.lists(st.lists(st.one_of(st.floats(), st.integers(), st.text(max_size=2),
+                                            st.none()), max_size=3), max_size=3),
+                st.integers(),
+                st.text(max_size=3),
+            ),
+            "noise_std": st.one_of(st.floats(), st.text(max_size=3), st.none()),
+        },
+    ).map(lambda doc: json.dumps(doc).encode()),
+)
+_CSV_FIELDS = st.sampled_from(["0", "1.5", "2", "nan", "inf", "x", ""])
+_CSV_DOCS = st.builds(
+    lambda header, rows: "\n".join([header] + [",".join(r) for r in rows]).encode(),
+    st.sampled_from(["", "k,err_norm_sq", "k,err_norm_sq,eps", "k"]),
+    st.lists(st.lists(_CSV_FIELDS, min_size=1, max_size=4), max_size=5),
+)
+
+
+@st.composite
+def _invocations(draw):
+    """A CLI argv and the file contents it refers to."""
+    command = draw(st.sampled_from(["gen-system", "run", "monitor", "compare"]))
+    if command == "gen-system":
+        return {}, ["gen-system", "--seed", str(draw(st.integers(-2, 2**64))),
+                    "--modules", str(draw(st.integers(-1, 4))),
+                    "--min-order", str(draw(st.integers(-1, 4))),
+                    "--max-order", str(draw(st.integers(-1, 70))),
+                    "--param-std", draw(_NUMBERS), "--out", "{dir}/sys-out.json"]
+    if command == "compare":
+        files = {"a.csv": draw(_CSV_DOCS), "b.csv": draw(_CSV_DOCS)}
+        return files, ["compare", "--a", "{dir}/a.csv", "--b", "{dir}/b.csv",
+                       "--threshold-frac", draw(_NUMBERS)]
+    argv = [command, "--system", "{dir}/sys.json",
+            "--mode", draw(st.sampled_from(["central", "distributed", "both"])),
+            "--samples", str(draw(st.integers(-1, 15))),
+            "--sigma", draw(_NUMBERS), "--gamma", draw(_NUMBERS),
+            "--init-c", draw(_NUMBERS), "--seed", str(draw(st.integers(-2, 2**64)))]
+    if command == "run":
+        argv += ["--out-prefix", "{dir}/out"] + (["--monitor"] if draw(st.booleans()) else [])
+    else:
+        argv += ["--out", "{dir}/mon.csv"]
+    return {"sys.json": draw(_SYSTEM_DOCS)}, argv
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_invocations())
+def test_fuzzed_invocations_end_in_exit_code(invocation):
+    files, argv = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.replace("{dir}", tmp) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

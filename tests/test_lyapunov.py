@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
-from misoid.central import from_scratch_init, rls_update
+from misoid.central import from_scratch_init, rls_update, rls_update_gamma
+from misoid.distributed import FusionCenter, init_nodes, run_round, stack
 from misoid.errors import DimensionError, ParameterError
-from misoid.experiment import ExperimentConfig, run_experiment
+from misoid.experiment import (
+    ExperimentConfig,
+    build_regressors,
+    generate_signals,
+    outputs_from_regressors,
+    random_system,
+    run_central,
+    run_distributed,
+    run_experiment,
+)
+from misoid.fir import RegressorBank, push_inputs
 from misoid.lyapunov import (
+    VIOLATION_TOL,
     delta_w_central_closed,
+    delta_w_central_general,
     gamma_sufficiency_bound,
     is_orthogonal,
     overline_delta_w_b,
@@ -128,7 +141,7 @@ class TestCheckTrajectory:
     def test_start_at_truth_keeps_w_zero(self):
         from misoid.distributed import FusionCenter, NodeState, run_round, stack
         from misoid.fir import RegressorBank, push_inputs
-        from misoid.lyapunov import DistributedRunTrace, check_trajectory
+        from misoid.lyapunov import RunTrace, check_trajectory
 
         rng = np.random.default_rng(30)
         orders = [2, 1]
@@ -140,18 +153,21 @@ class TestCheckTrajectory:
         ]
         center = FusionCenter(noise_var=0.0, m=2)
         bank = RegressorBank.zeros(orders)
-        blocks = [stack(nodes)]
-        phis, alphas = [], []
+        start = stack(nodes)
+        thetas = [start.theta]
+        phis, alphas, gains = [], [], []
         for _ in range(20):
             bank = push_inputs(bank, rng.normal(size=2))
             y = float(bank.stacked() @ theta_true)
             nodes, tr = run_round(nodes, center, bank, y)
-            blocks.append(stack(nodes))
+            thetas.append(stack(nodes).theta)
             phis.append(bank.stacked())
             alphas.append(tr.down.alpha)
-        trace = DistributedRunTrace(
-            theta_true=theta_true, blocks=blocks,
-            phis=np.array(phis), alphas=np.array(alphas), noise_var=0.0,
+            gains.append([msg.local_gain_scalar for msg in tr.ups])
+        trace = RunTrace(
+            theta_true=theta_true, thetas=np.array(thetas), phis=np.array(phis),
+            alphas=np.array(alphas), noise_var=0.0, info0=start.info_b,
+            weights=1.0 / start.gammas**2, offsets=start.offsets, gains=np.array(gains),
         )
         rep = check_trajectory(trace, "distributed")
         assert all(abs(r.w) < 1e-20 for r in rep.records)
@@ -168,11 +184,12 @@ class TestCheckTrajectory:
         assert counts[1.0] > counts[100.0]
 
     def test_empty_trace_rejected(self):
-        from misoid.lyapunov import CentralRunTrace, check_trajectory
+        from misoid.lyapunov import RunTrace, check_trajectory
 
         state = from_scratch_init(2, 1.0)
-        trace = CentralRunTrace(theta_true=np.zeros(2), states=[state],
-                                phis=np.zeros((0, 2)))
+        trace = RunTrace(theta_true=np.zeros(2), thetas=state.theta_hat[None, :],
+                         phis=np.zeros((0, 2)), alphas=np.zeros(0), noise_var=1.0,
+                         info0=state.info_mat, weights=np.ones(1), offsets=np.array([0, 2]))
         with pytest.raises(ParameterError):
             check_trajectory(trace, "central")
 
@@ -203,3 +220,93 @@ class TestInvariants:
         err = np.array([1.0, -1.0])
         assert is_orthogonal(phi * 1e8, err * 1e-8)
         assert not is_orthogonal(phi, np.array([1.0, 0.0]))
+
+
+def _oracle_setup(seed, gamma, mode, sigma=0.0):
+    cfg = ExperimentConfig(seed=seed, m=3, order_range=(1, 3), gamma=gamma,
+                           noise_std=sigma, samples=150, mode=mode)
+    system = random_system(cfg)
+    inputs, noise = generate_signals(system, cfg)
+    return cfg, system, inputs, noise
+
+
+def _assert_same_monitor(got, ref):
+    """Same flags and bound decisions at every step, W to 1e-9 where resolvable."""
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.violation_flag == r["violation"], g.k
+        assert g.orthogonal_flag == r["orthogonal"], g.k
+        if r["w"] > 1e-10:
+            assert g.w == pytest.approx(r["w"], rel=1e-9), g.k
+        if "bound" in r:
+            assert (g.gamma_bound is None) == (r["bound"] is None), g.k
+            assert g.gamma_bound_degenerate == r["degenerate"], g.k
+            certified = r["bound"] is not None and g.gamma_sum < r["bound"]
+            assert (g.gamma_bound is not None and g.gamma_sum < g.gamma_bound) == certified, g.k
+
+
+class TestMonitorOracle:
+    """The kernel post-pass against records built from protocol snapshots.
+
+    The references are the gain-matrix forms: w_quadratic on the stacked
+    information matrix, overline_delta_w_b, gamma_sufficiency_bound with the
+    dense F and phi_B, and delta_w_central_general.
+    """
+
+    @pytest.mark.parametrize("seed", [2, 3, 5, 11])
+    @pytest.mark.parametrize("gamma", [1.0, 100.0])
+    def test_distributed_matches_protocol_snapshots(self, seed, gamma):
+        cfg, system, inputs, noise = _oracle_setup(seed, gamma, "distributed")
+        theta_true = system.theta_true()
+        nodes = init_nodes(system.orders, cfg.init_c, gamma)
+        center = FusionCenter(noise_var=0.0, m=system.m)
+        bank = RegressorBank.for_system(system)
+        ref = []
+        blk = stack(nodes)
+        for k in range(cfg.samples):
+            bank = push_inputs(bank, inputs[k])
+            phi = bank.stacked()
+            nodes, tr = run_round(nodes, center, bank, float(phi @ theta_true), k=k)
+            blk_next = stack(nodes)
+            err, alpha = blk.theta - theta_true, tr.down.alpha
+            w = w_quadratic(err, blk.info_b)
+            dw = w_quadratic(blk_next.theta - theta_true, blk_next.info_b) - w
+            odw = overline_delta_w_b(err, phi, blk.sigma_b, alpha)
+            bound = None
+            if odw < 0:
+                f_mat = np.eye(blk.n) - alpha * blk.sigma_b @ np.outer(phi, phi)
+                bound = gamma_sufficiency_bound(err, f_mat, blk.phi_b(phi), odw)
+            ref.append({"w": w, "violation": dw > VIOLATION_TOL,
+                        "orthogonal": is_orthogonal(phi, err), "bound": bound,
+                        "degenerate": odw < 0 and bound is None})
+            blk = blk_next
+        got = run_distributed(system, inputs, noise, cfg, monitor=True).monitor.records
+        _assert_same_monitor(got, ref)
+        if gamma == 1.0:
+            assert any(r["violation"] for r in ref)
+
+    @pytest.mark.parametrize("seed", [2, 3, 5, 11])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_central_matches_rls_states(self, seed, sigma):
+        cfg, system, inputs, noise = _oracle_setup(seed, 100.0, "central", sigma)
+        theta_true = system.theta_true()
+        phis = build_regressors(system, inputs)
+        ys = outputs_from_regressors(system, phis, noise)
+        state = from_scratch_init(system.n, cfg.init_c, noise_var=sigma**2, mode="gamma")
+        ref, closed = [], []
+        for k in range(cfg.samples):
+            phi = phis[k]
+            new = rls_update_gamma(state, phi, ys[k], cfg.gamma)
+            err = state.theta_hat - theta_true
+            w = w_quadratic(err, state.info_mat)
+            dw = w_quadratic(new.theta_hat - theta_true, new.info_mat) - w
+            closed.append(delta_w_central_general(err, phi, state.sigma_mat, sigma**2,
+                                                  1.0 / cfg.gamma**2))
+            ref.append({"w": w, "violation": dw > VIOLATION_TOL,
+                        "orthogonal": is_orthogonal(phi, err)})
+            state = new
+        got = run_central(system, inputs, noise, cfg, monitor=True).monitor.records
+        _assert_same_monitor(got, ref)
+        scale = max(abs(c) for c in closed)
+        for g, c in zip(got, closed):
+            assert g.delta_w_closed == pytest.approx(c, rel=1e-9, abs=1e-12 * scale)
