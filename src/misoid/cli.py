@@ -51,12 +51,13 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True)
 
     run = sub.add_parser("run", help="run estimators on a system file")
-    _add_run_flags(run)
+    _add_run_flags(run, sigma=0.1)
     run.add_argument("--monitor", action="store_true")
     run.add_argument("--out-prefix", required=True)
 
     mon = sub.add_parser("monitor", help="run with monitoring, write monitor CSV")
-    _add_run_flags(mon)
+    # the decrease checks hold for noise-free runs, so monitor defaults to sigma 0
+    _add_run_flags(mon, sigma=0.0)
     mon.add_argument("--out", required=True)
 
     cmp_ = sub.add_parser("compare", help="compare two trajectory CSVs")
@@ -68,11 +69,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_run_flags(sub):
+def _add_run_flags(sub, sigma: float):
     sub.add_argument("--system", required=True)
     sub.add_argument("--mode", choices=["central", "distributed", "both"], default="both")
     sub.add_argument("--samples", type=int, default=500)
-    sub.add_argument("--sigma", type=float, default=0.1)
+    sub.add_argument("--sigma", type=float, default=sigma)
     sub.add_argument("--gamma", type=float, default=100.0)
     sub.add_argument("--init-c", type=float, default=100.0)
     sub.add_argument("--seed", type=int, default=0)
@@ -153,6 +154,9 @@ def cmd_monitor(args) -> int:
         return EXIT_USAGE
     write_monitor_csv(report, args.out)
     print(f"info: wrote {args.out}")
+    if config.noise_std > 0:
+        print(f"info: sigma={config.noise_std:g} > 0: violations (steps with deltaW > 0) "
+              "then include noise-driven increases")
     print(
         f"result: violations={len(report.violations)} "
         f"orthogonal_steps={len(report.orthogonal_steps)}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -216,7 +217,7 @@ def run_distributed(system: MisoSystem, inputs, noise, config: ExperimentConfig,
     ys = outputs_from_regressors(system, phis, noise)
     offsets = block_offsets(system)
     gammas = np.full(system.m, float(config.gamma))
-    theta_hist, eps, alpha, _, gains = kernels.distributed_trajectory(
+    theta_hist, eps, alpha, gains = kernels.distributed_trajectory(
         phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
         offsets, gammas, config.noise_std**2,
     )
@@ -257,65 +258,69 @@ def run_experiment(config: ExperimentConfig, system: MisoSystem | None = None,
 
 
 def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.ndarray:
-    """Final distributed estimates over repeated noise draws, fixed inputs."""
+    """Final distributed estimates over repeated noise draws, fixed inputs.
+
+    The gain sequence depends on the regressors only, so one kernel call
+    runs it once and carries every realization through the estimate pass.
+    """
     inputs, _ = generate_signals(system, config)
     phis = build_regressors(system, inputs)
     clean = phis @ system.theta_true()
-    offsets = block_offsets(system)
-    gammas = np.full(system.m, float(config.gamma))
-    noise_var = config.noise_std**2
-    finals = np.empty((config.monte_carlo_runs, system.n))
+    ys = np.empty((config.monte_carlo_runs, config.samples))
     for r in range(config.monte_carlo_runs):
         rng = np.random.default_rng([config.seed, _STREAM_MC_NOISE, r])
-        ys = clean + rng.normal(0.0, config.noise_std, size=config.samples)
-        theta_hist, _, _, _, _ = kernels.distributed_trajectory(
-            phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
-            offsets, gammas, noise_var,
-        )
-        finals[r] = theta_hist[-1]
+        ys[r] = clean + rng.normal(0.0, config.noise_std, size=config.samples)
+    finals, _, _, _ = kernels.distributed_trajectory(
+        phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
+        block_offsets(system), np.full(system.m, float(config.gamma)), config.noise_std**2,
+    )
     return finals
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(trajectory: Trajectory, path):
-    """Header then one row per step, 17 significant digits per value."""
+    """Header then one row per step, 17 significant digits per value.
+
+    Each row is one ``%``-format: ``'%.17g' % x`` is the same text as
+    ``format(x, '.17g')``, inf, nan and -0 included.
+    """
     n = trajectory.errors.shape[1]
     header = ["k", "err_norm_sq"] + [f"err_{j + 1}" for j in range(n)] + ["eps", "alpha"]
     monitor = trajectory.monitor
     if monitor is not None:
         header += monitor_columns(monitor.mode)
-    norms = trajectory.err_norm_sq
+    table = np.column_stack(
+        [trajectory.err_norm_sq, trajectory.errors, trajectory.eps, trajectory.alpha]
+    )
+    row_fmt = "%d," + ",".join(["%.17g"] * table.shape[1])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for k in range(trajectory.samples):
-            row = [str(k), _fmt(norms[k])]
-            row += [_fmt(v) for v in trajectory.errors[k]]
-            row += [_fmt(trajectory.eps[k]), _fmt(trajectory.alpha[k])]
+            line = row_fmt % (k, *table[k].tolist())
             if monitor is not None:
-                row += monitor_row(monitor.records[k], monitor.mode)
-            fh.write(",".join(row) + "\n")
+                line += "," + ",".join(monitor_row(monitor.records[k], monitor.mode))
+            fh.write(line + "\n")
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     """Read a trajectory CSV back into named float columns."""
     try:
         with open(path) as fh:
-            header = fh.readline().strip()
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        if not header:
-            raise ParameterError(f"{path}: empty file")
-        names = header.split(",")
-        for i, row in enumerate(rows):
-            if len(row) != len(names):
-                raise ParameterError(
-                    f"{path}: data row {i + 1} has {len(row)} fields, the header {len(names)}"
-                )
-        return {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(names)}
-    except ValueError as exc:  # undecodable bytes or a field that is not a number
+            names = fh.readline().strip().split(",")
+            if names == [""]:
+                raise ParameterError(f"{path}: empty file")
+            with warnings.catch_warnings():
+                # a header-only file (a run without samples) has no data rows
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # undecodable bytes, a ragged row or a field that is not a number
         raise ParameterError(f"{path}: {exc}") from None
+    if not data.size:
+        return {name: np.empty(0) for name in names}
+    if data.shape[1] != len(names):
+        raise ParameterError(
+            f"{path}: data rows have {data.shape[1]} fields, the header {len(names)}"
+        )
+    return {name: data[:, j] for j, name in enumerate(names)}
 
 
 def first_crossing(values, threshold_frac: float):

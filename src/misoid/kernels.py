@@ -1,15 +1,32 @@
-"""Whole-trajectory inner loops in numpy.
+"""Whole-trajectory recursions in numpy: a gain pass and an estimate pass.
 
-The per-sample recursions are cheap numpy calls executed thousands of
-times, so running them as one loop over preallocated arrays, instead of
-through the object-level protocol, is what keeps long runs fast.  Plain,
-monitored and Monte Carlo runs all go through these two functions; the
-protocol in ``central`` and ``distributed`` is the specification they are
-tested against.
+In both recursions the gain sequence -- the gain matrix Sigma_k, the gain
+vector c_k = Sigma_k phi_k and the scalar alpha_k -- depends on the
+regressors only, never on the outputs: the RLS covariance recursion does
+not see the measurements.  So each kernel first runs its own gain pass
+over the regressors and then the estimate pass both estimators share,
 
-Both kernels fail like the protocol: they raise ``NumericError`` naming
-the first step where the shared gain denominator is not a positive finite
-number or an estimate, prediction error or gain is non-finite.
+    eps_k = y_k - theta' phi_k,    theta += alpha_k eps_k c_k,
+
+which carries R output realizations as one (R, n) array.  A Monte Carlo
+sweep over noise draws therefore pays for one gain pass.  A single run's
+estimate history is theta_0 plus the running sum of the steps
+alpha_k eps_k c_k, which numpy's cumsum adds in the same order as the
+loop, so no per-step history is stored while the pass runs.
+
+The distributed gain pass keeps the stacked gain Sigma_B as the dense
+n x n block-diagonal matrix.  Sigma_B phi is then exactly every node's
+Sigma_i phi_i (the off-block entries are zero), the per-node gain scalars
+phi_i' Sigma_i phi_i are one segmented sum, and the rank-one updates of all
+blocks are one outer product masked to the blocks: there is no loop over
+the nodes.
+
+Plain, monitored and Monte Carlo runs all go through the two public
+functions; the protocol in ``central`` and ``distributed`` is the
+specification they are tested against.  Both fail like the protocol: they
+raise ``NumericError`` naming the first step where the shared gain
+denominator is not a positive finite number or an estimate, prediction
+error or gain is non-finite.
 """
 from __future__ import annotations
 
@@ -27,93 +44,131 @@ def _bad_denominator(k: int, denom) -> NumericError:
     )
 
 
-def _check_finite(theta_hist, eps_hist, alpha_hist):
-    ok = np.isfinite(theta_hist).all(axis=1) & np.isfinite(eps_hist) & np.isfinite(alpha_hist)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise NumericError(f"step {k}: non-finite estimate, prediction error or gain")
+def _first_bad_step(theta_hist, eps, alpha):
+    ok = np.isfinite(theta_hist).all(axis=1) & np.isfinite(eps) & np.isfinite(alpha)
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _non_finite(k: int) -> NumericError:
+    return NumericError(f"step {k}: non-finite estimate, prediction error or gain")
+
+
+def _symmetrise(sigma, buf):
+    np.add(sigma, sigma.T, out=buf)
+    np.multiply(buf, 0.5, out=sigma)
+
+
+def _central_gains(phis, sigma0, noise_var, info_weight):
+    """Gain vectors c_k (N, n) and alphas (N,) of the central recursion."""
+    n_steps, n = phis.shape
+    sigma = np.array(sigma0, dtype=float)
+    buf = np.empty((n, n))
+    cs = np.empty((n_steps, n))
+    alpha = np.empty(n_steps)
+    sm_denom_base = 1.0 / info_weight
+    for k in range(n_steps):
+        phi = phis[k]
+        c = np.matmul(sigma, phi, out=cs[k])
+        s = phi @ c
+        denom = noise_var + s
+        if not 0.0 < denom < math.inf:
+            raise _bad_denominator(k, denom)
+        alpha[k] = 1.0 / denom
+        np.multiply.outer(c, c, out=buf)
+        buf /= sm_denom_base + s
+        sigma -= buf
+        _symmetrise(sigma, buf)
+    return cs, alpha
+
+
+def _distributed_gains(phis, sigma0, offsets, gammas, noise_var):
+    """Stacked gain vectors (N, n), alphas (N,) and per-node gains (N, m)."""
+    n_steps, n = phis.shape
+    starts = offsets[:-1]
+    block_of = np.repeat(np.arange(starts.shape[0]), np.diff(offsets))
+    in_block = (block_of[:, None] == block_of[None, :]).astype(float)
+    gamma_sq = np.asarray(gammas, dtype=float) ** 2
+    sigma = np.array(sigma0, dtype=float)
+    buf = np.empty((n, n))
+    cs = np.empty((n_steps, n))
+    alpha = np.empty(n_steps)
+    gains = np.empty((n_steps, starts.shape[0]))
+    for k in range(n_steps):
+        phi = phis[k]
+        c = np.matmul(sigma, phi, out=cs[k])
+        g = np.add.reduceat(phi * c, starts)
+        gains[k] = g
+        denom = noise_var + g.sum()
+        if not 0.0 < denom < math.inf:
+            raise _bad_denominator(k, denom)
+        alpha[k] = 1.0 / denom
+        np.multiply.outer(c / (gamma_sq + g)[block_of], c, out=buf)
+        buf *= in_block
+        sigma -= buf
+        _symmetrise(sigma, buf)
+    return cs, alpha, gains
+
+
+def _history(theta0, cs, alpha, eps, out=None):
+    """Row k: the estimate after step k, theta0 + sum_{j<=k} alpha_j eps_j c_j."""
+    steps = np.multiply(cs, (alpha * eps)[:, None], out=out)
+    steps[:1] += theta0
+    return np.cumsum(steps, axis=0, out=steps)
+
+
+def _estimate_pass(phis, ys, theta0, cs, alpha):
+    """Run every output realization through the gain sequence.
+
+    ys is (N,) for one run or (R, N) for R realizations.  Returns the
+    (N, n) estimate history (written over cs) and the (N,) errors of one
+    run, or the (R, n) final estimates and the (R, N) errors of R
+    realizations.
+    """
+    ys = np.asarray(ys, dtype=float)
+    runs = np.atleast_2d(ys)
+    theta = np.tile(theta0, (runs.shape[0], 1))
+    eps = np.empty(runs.shape)
+    for k in range(phis.shape[0]):
+        e = runs[:, k] - theta @ phis[k]
+        theta += (alpha[k] * e)[:, None] * cs[k]
+        eps[:, k] = e
+    if ys.ndim == 1:
+        hist = _history(theta0, cs, alpha, eps[0], out=cs)
+        k = _first_bad_step(hist, eps[0], alpha)
+        if k is not None:
+            raise _non_finite(k)
+        return hist, eps[0]
+    if not (np.isfinite(theta).all() and np.isfinite(eps).all()):
+        # name the step a single run of each realization would name
+        steps = (_first_bad_step(_history(theta0, cs, alpha, e), e, alpha) for e in eps)
+        raise _non_finite(min(k for k in steps if k is not None))
+    return theta, eps
 
 
 def central_trajectory(phis, ys, theta0, sigma0, noise_var, info_weight):
     """Run the central recursion over all samples.
 
-    phis is (N, n) with row k the regressor used at step k; info_weight is
-    1/sigma^2 for the standard recursion or 1/gamma^2 for the gamma-driven
-    variant.  Returns per-step estimates, prediction errors and gains.
+    phis is (N, n) with row k the regressor used at step k; ys is (N,) for
+    one run or (R, N) for R output realizations on the same regressors;
+    info_weight is 1/sigma^2 for the standard recursion or 1/gamma^2 for
+    the gamma-driven variant.  Returns the estimates (the (N, n) per-step
+    history of one run, or the (R, n) final estimates of R runs), the
+    prediction errors ((N,) or (R, N)) and the (N,) gains alpha.
     """
-    n_steps, n = phis.shape
-    theta = theta0.copy()
-    sigma = sigma0.copy()
-    theta_hist = np.empty((n_steps, n))
-    eps_hist = np.empty(n_steps)
-    alpha_hist = np.empty(n_steps)
-    sm_denom_base = 1.0 / info_weight
-    for k in range(n_steps):
-        phi = phis[k]
-        c = sigma @ phi
-        s = phi @ c
-        denom = noise_var + s
-        if not 0.0 < denom < math.inf:
-            raise _bad_denominator(k, denom)
-        alpha = 1.0 / denom
-        eps = ys[k] - phi @ theta
-        theta = theta + alpha * eps * c
-        sigma = sigma - (c.reshape(n, 1) * c.reshape(1, n)) / (sm_denom_base + s)
-        sigma = 0.5 * (sigma + sigma.T)
-        theta_hist[k] = theta
-        eps_hist[k] = eps
-        alpha_hist[k] = alpha
-    _check_finite(theta_hist, eps_hist, alpha_hist)
-    return theta_hist, eps_hist, alpha_hist
+    cs, alpha = _central_gains(phis, sigma0, noise_var, info_weight)
+    theta, eps = _estimate_pass(phis, ys, theta0, cs, alpha)
+    return theta, eps, alpha
 
 
 def distributed_trajectory(phis, ys, theta0, sigma0, offsets, gammas, noise_var):
     """Run the fused distributed recursion over all samples.
 
     sigma0 is the block-diagonal stacked gain matrix; offsets (length m+1)
-    delimit the per-node blocks.  Returns per-step stacked estimates,
-    shared errors/gains and the per-node upstream scalars of every round.
+    delimit the per-node blocks.  ys, the estimates and the prediction
+    errors are shaped as in ``central_trajectory``.  Returns the estimates,
+    prediction errors, shared gains alpha (N,) and the per-node upstream
+    gain scalars phi_i' Sigma_i phi_i of every round (N, m).
     """
-    n_steps, n = phis.shape
-    m = offsets.shape[0] - 1
-    theta = theta0.copy()
-    sigma = sigma0.copy()
-    theta_hist = np.empty((n_steps, n))
-    eps_hist = np.empty(n_steps)
-    alpha_hist = np.empty(n_steps)
-    preds_hist = np.empty((n_steps, m))
-    gains_hist = np.empty((n_steps, m))
-    cs = np.empty(n)
-    for k in range(n_steps):
-        phi = phis[k]
-        pred_sum = 0.0
-        gain_sum = 0.0
-        for i in range(m):
-            a, b = offsets[i], offsets[i + 1]
-            phi_i = np.ascontiguousarray(phi[a:b])
-            block = np.ascontiguousarray(sigma[a:b, a:b])
-            c = block @ phi_i
-            cs[a:b] = c
-            preds_hist[k, i] = phi_i @ theta[a:b]
-            gains_hist[k, i] = phi_i @ c
-            pred_sum += preds_hist[k, i]
-            gain_sum += gains_hist[k, i]
-        eps = ys[k] - pred_sum
-        denom = noise_var + gain_sum
-        if not 0.0 < denom < math.inf:
-            raise _bad_denominator(k, denom)
-        alpha = 1.0 / denom
-        for i in range(m):
-            a, b = offsets[i], offsets[i + 1]
-            ni = b - a
-            c = cs[a:b]
-            theta[a:b] = theta[a:b] + alpha * eps * c
-            blk = sigma[a:b, a:b] - (c.reshape(ni, 1) * c.reshape(1, ni)) / (
-                gammas[i] ** 2 + gains_hist[k, i]
-            )
-            sigma[a:b, a:b] = 0.5 * (blk + blk.T)
-        theta_hist[k] = theta
-        eps_hist[k] = eps
-        alpha_hist[k] = alpha
-    _check_finite(theta_hist, eps_hist, alpha_hist)
-    return theta_hist, eps_hist, alpha_hist, preds_hist, gains_hist
+    cs, alpha, gains = _distributed_gains(phis, sigma0, offsets, gammas, noise_var)
+    theta, eps = _estimate_pass(phis, ys, theta0, cs, alpha)
+    return theta, eps, alpha, gains

@@ -44,7 +44,7 @@ def _verdict(capsys, label, ok, detail):
 
 @pytest.fixture(scope="module")
 def warm_kernels():
-    # trigger the JIT compile outside of any timed section
+    # run both kernels once, outside of any timed section
     cfg = ExperimentConfig(seed=0, m=2, order_range=(1, 1), samples=2, mode="both")
     run_experiment(cfg)
 

@@ -134,6 +134,18 @@ class TestMonitorCommand:
         header = out.read_text().splitlines()[0]
         assert header.startswith("k,W,deltaW")
 
+    def test_noise_free_by_default(self, tmp_path, capsys):
+        system = _gen_system(tmp_path, modules=4, max_order=3)
+        out = str(tmp_path / "m.csv")
+        argv = ["monitor", "--system", str(system), "--mode", "central",
+                "--samples", "300", "--out", out]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert "result: violations=0 " in stdout
+        assert "noise-driven" not in stdout
+        assert main(argv + ["--sigma", "0.1"]) == 0
+        assert "info: sigma=0.1 > 0: violations" in capsys.readouterr().out
+
     def test_both_mode_rejected(self, tmp_path):
         system = _gen_system(tmp_path)
         assert main(["monitor", "--system", str(system), "--mode", "both",

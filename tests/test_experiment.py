@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from misoid import kernels
 from misoid.errors import ParameterError
 from misoid.experiment import (
     ExperimentConfig,
     Trajectory,
+    block_offsets,
     build_regressors,
     first_crossing,
     generate_signals,
@@ -135,6 +137,22 @@ class TestMonteCarlo:
         again = monte_carlo_distributed(system, cfg)
         assert finals.tobytes() == again.tobytes()
 
+    def test_realization_equals_single_run_on_its_stream(self):
+        cfg = ExperimentConfig(seed=13, m=3, order_range=(1, 3), noise_std=0.1,
+                               samples=200, monte_carlo_runs=3)
+        system = random_system(cfg)
+        finals = monte_carlo_distributed(system, cfg)
+        inputs, _ = generate_signals(system, cfg)
+        phis = build_regressors(system, inputs)
+        for r in range(3):
+            rng = np.random.default_rng([cfg.seed, 3, r])
+            ys = phis @ system.theta_true() + rng.normal(0.0, cfg.noise_std, size=cfg.samples)
+            theta_hist = kernels.distributed_trajectory(
+                phis, ys, np.zeros(system.n), cfg.init_c * np.eye(system.n),
+                block_offsets(system), np.full(system.m, cfg.gamma), cfg.noise_std**2,
+            )[0]
+            assert np.allclose(finals[r], theta_hist[-1], rtol=1e-10, atol=0)
+
 
 class TestTrajectoryCsv:
     def test_empty_trajectory_header_only(self, tmp_path):
@@ -144,6 +162,21 @@ class TestTrajectoryCsv:
         write_trajectory_csv(traj, path)
         lines = path.read_text().splitlines()
         assert lines == ["k,err_norm_sq,err_1,err_2,err_3,eps,alpha"]
+        cols = read_trajectory_csv(path)
+        assert list(cols) == lines[0].split(",")
+        assert all(col.shape == (0,) for col in cols.values())
+
+    @pytest.mark.parametrize("content", [
+        "",
+        "k,err_norm_sq\n0,1.0\n1\n",
+        "k,err_norm_sq\n0,x\n",
+        "k,err_norm_sq\n0,1.0,2.0\n1,1.0,2.0\n",
+    ], ids=["empty", "ragged", "non-numeric", "more-fields-than-header"])
+    def test_malformed_csv_names_the_file(self, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(ParameterError, match="bad.csv"):
+            read_trajectory_csv(path)
 
     def test_row_count_and_round_trip(self, tmp_path):
         cfg = ExperimentConfig(seed=5, m=2, order_range=(1, 2), samples=25,

@@ -10,18 +10,27 @@ from misoid.experiment import (
     block_offsets,
     build_regressors,
     generate_signals,
+    monte_carlo_distributed,
     outputs_from_regressors,
     random_system,
     run_central,
     run_distributed,
 )
-from misoid.fir import RegressorBank, push_inputs
+from misoid.fir import FirModule, MisoSystem, RegressorBank, push_inputs
 
 
-def _reference_setup(samples=80, seed=3):
-    cfg = ExperimentConfig(seed=seed, m=3, order_range=(1, 3),
-                          noise_std=0.1, samples=samples)
-    system = random_system(cfg)
+def _reference_setup(samples=80, seed=3, orders=None):
+    """Config, system, regressors and outputs; orders=None draws m=3 orders in 1..3."""
+    if orders is None:
+        cfg = ExperimentConfig(seed=seed, m=3, order_range=(1, 3),
+                               noise_std=0.1, samples=samples)
+        system = random_system(cfg)
+    else:
+        cfg = ExperimentConfig(seed=seed, m=len(orders), order_range=(min(orders), max(orders)),
+                               noise_std=0.1, samples=samples)
+        rng = np.random.default_rng([seed, 99])
+        system = MisoSystem(tuple(FirModule(rng.normal(size=ni)) for ni in orders),
+                            noise_std=cfg.noise_std)
     inputs, noise = generate_signals(system, cfg)
     phis = build_regressors(system, inputs)
     ys = outputs_from_regressors(system, phis, noise)
@@ -42,9 +51,19 @@ def test_central_kernel_matches_object_layer():
 
 
 def test_distributed_kernel_matches_protocol_layer():
-    cfg, system, phis, ys = _reference_setup()
+    _check_distributed_kernel_against_protocol(orders=None)
+
+
+@pytest.mark.parametrize("orders", [[12] + [1] * 6, [7], [1] * 25],
+                         ids=["skewed", "one-node", "many-order-1"])
+def test_distributed_kernel_matches_protocol_layer_on_layout(orders):
+    _check_distributed_kernel_against_protocol(orders)
+
+
+def _check_distributed_kernel_against_protocol(orders):
+    cfg, system, phis, ys = _reference_setup(orders=orders)
     n = system.n
-    theta_hist, eps, alpha, preds, gains = kernels.distributed_trajectory(
+    theta_hist, eps, alpha, gains = kernels.distributed_trajectory(
         phis, ys, np.zeros(n), cfg.init_c * np.eye(n), block_offsets(system),
         np.full(system.m, cfg.gamma), cfg.noise_std**2,
     )
@@ -60,6 +79,8 @@ def test_distributed_kernel_matches_protocol_layer():
                            rtol=1e-9, atol=1e-12)
         assert np.allclose(eps[k], tr.down.prediction_error, rtol=1e-9, atol=1e-12)
         assert np.allclose(alpha[k], tr.down.alpha, rtol=1e-9, atol=1e-12)
+        ups = sorted(tr.ups, key=lambda u: u.index)
+        assert np.allclose(gains[k], [u.local_gain_scalar for u in ups], rtol=1e-9, atol=1e-12)
 
 
 def _zero_input_setup(samples=5):
@@ -71,9 +92,18 @@ def _zero_input_setup(samples=5):
 
 
 def test_kernels_reject_zero_denominator():
+    _check_zero_denominator(runs=None)
+
+
+def test_kernels_reject_zero_denominator_over_realizations():
+    _check_zero_denominator(runs=3)
+
+
+def _check_zero_denominator(runs):
     _, system, _, _ = _zero_input_setup()
     n = system.n
-    phis, ys = np.zeros((5, n)), np.zeros(5)
+    phis = np.zeros((5, n))
+    ys = np.zeros(5) if runs is None else np.zeros((runs, 5))
     with pytest.raises(NumericError, match="step 0"):
         kernels.central_trajectory(phis, ys, np.zeros(n), np.eye(n), 0.0, 1.0)
     with pytest.raises(NumericError, match="step 0"):
@@ -82,15 +112,60 @@ def test_kernels_reject_zero_denominator():
 
 
 def test_kernels_name_first_non_finite_step():
+    _check_first_non_finite_step(runs=None)
+
+
+def test_kernels_name_first_non_finite_step_over_realizations():
+    _check_first_non_finite_step(runs=3)
+
+
+def _check_first_non_finite_step(runs):
     cfg, system, phis, ys = _reference_setup(samples=10)
     n = system.n
-    ys = ys.copy()
-    ys[4] = np.nan
+    if runs is None:
+        ys = ys.copy()
+        ys[4] = np.nan
+    else:
+        # realization 1 goes bad at step 4 and realization 2 at step 7; the earlier is named
+        ys = np.tile(ys, (runs, 1))
+        ys[1, 4] = np.nan
+        ys[2, 7] = np.inf
     with pytest.raises(NumericError, match="step 4"):
         kernels.central_trajectory(phis, ys, np.zeros(n), np.eye(n), 0.01, 1e-4)
     with pytest.raises(NumericError, match="step 4"):
         kernels.distributed_trajectory(phis, ys, np.zeros(n), np.eye(n),
                                        block_offsets(system), np.full(system.m, 100.0), 0.01)
+
+
+def test_realizations_match_single_runs():
+    cfg, system, phis, ys = _reference_setup(samples=60)
+    n = system.n
+    rng = np.random.default_rng(5)
+    many = ys + rng.normal(0.0, 0.1, size=(3, ys.size))
+    args = (rng.normal(size=n), cfg.init_c * np.eye(n))  # a nonzero start enters the history
+    for kernel, rest in ((kernels.central_trajectory, (0.01, 1e-4)),
+                         (kernels.distributed_trajectory,
+                          (block_offsets(system), np.full(system.m, 100.0), 0.01))):
+        finals, eps = kernel(phis, many, *args, *rest)[:2]
+        assert finals.shape == (3, n) and eps.shape == (3, ys.size)
+        for r in range(3):
+            hist, eps_r = kernel(phis, many[r], *args, *rest)[:2]
+            assert np.allclose(finals[r], hist[-1], rtol=1e-10, atol=1e-14)
+            assert np.allclose(eps[r], eps_r, rtol=1e-10, atol=1e-14)
+
+
+def test_monte_carlo_names_the_step_of_a_single_run():
+    # gamma -> 0 turns each node's update into a projection, so with
+    # sigma = 0 the shared gain denominator reaches 0 after max order steps
+    cfg = ExperimentConfig(seed=1, m=3, order_range=(1, 2), noise_std=0.0, gamma=1e-150,
+                           samples=20, monte_carlo_runs=2)
+    system = random_system(cfg)
+    inputs, noise = generate_signals(system, cfg)
+    with pytest.raises(NumericError, match="alpha denominator") as single:
+        run_distributed(system, inputs, noise, cfg)
+    with pytest.raises(NumericError) as sweep:
+        monte_carlo_distributed(system, cfg)
+    assert str(sweep.value) == str(single.value)
 
 
 @pytest.mark.parametrize("runner", [run_central, run_distributed])
