@@ -79,12 +79,11 @@ def _add_run_flags(sub, sigma: float):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _config_for(args, system) -> ExperimentConfig:
-    orders = system.orders
+def _config_for(args) -> ExperimentConfig:
+    # m and order_range only shape random_system; a system file's own
+    # module orders are not bounded by them
     return ExperimentConfig(
         seed=args.seed,
-        m=system.m,
-        order_range=(min(orders), max(orders)),
         noise_std=args.sigma,
         gamma=args.gamma,
         init_c=args.init_c,
@@ -117,7 +116,7 @@ def cmd_gen_system(args) -> int:
 
 def cmd_run(args) -> int:
     system = load_system(args.system)
-    config = _config_for(args, system)
+    config = _config_for(args)
     inputs, noise = generate_signals(system, config)
     if config.mode in ("central", "both"):
         traj = run_central(system, inputs, noise, config, monitor=args.monitor)
@@ -143,7 +142,7 @@ def cmd_monitor(args) -> int:
         print("error: monitor needs --mode central or distributed", file=sys.stderr)
         return EXIT_USAGE
     system = load_system(args.system)
-    config = _config_for(args, system)
+    config = _config_for(args)
     inputs, noise = generate_signals(system, config)
     runner = run_central if args.mode == "central" else run_distributed
     traj = runner(system, inputs, noise, config, monitor=True)

@@ -226,23 +226,3 @@ def stack(nodes) -> BlockState:
     gammas = np.array([node.gamma for node in nodes])
     return BlockState(theta=theta, sigma_b=sigma_b, info_b=info_b, gammas=gammas, offsets=offsets)
 
-
-def write_round_trace_csv(traces, path, m: int):
-    """CSV layout: k, eps, alpha, pred_1..pred_m, gain_1..gain_m."""
-    header = (
-        ["k", "eps", "alpha"]
-        + [f"pred_{i + 1}" for i in range(m)]
-        + [f"gain_{i + 1}" for i in range(m)]
-    )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for tr in traces:
-            ups = sorted(tr.ups, key=lambda msg: msg.index)
-            row = [str(tr.k), _fmt(tr.down.prediction_error), _fmt(tr.down.alpha)]
-            row += [_fmt(msg.local_prediction) for msg in ups]
-            row += [_fmt(msg.local_gain_scalar) for msg in ups]
-            fh.write(",".join(row) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")

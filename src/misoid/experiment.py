@@ -7,10 +7,9 @@ one experiment always consume the identical signal realization.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,21 +76,6 @@ class ExperimentConfig:
             raise ParameterError(f"unknown mode {self.mode!r}")
 
 
-def save_config(config: ExperimentConfig, path):
-    doc = asdict(config)
-    doc["order_range"] = list(config.order_range)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["order_range"] = tuple(doc["order_range"])
-    return ExperimentConfig(**doc)
-
-
 def random_system(config: ExperimentConfig) -> MisoSystem:
     """Draw module orders uniformly and coefficients from N(0, param_std^2)."""
     rng = np.random.default_rng([config.seed, _STREAM_SYSTEM])
@@ -127,7 +111,7 @@ def build_regressors(system: MisoSystem, inputs) -> np.ndarray:
     phis = np.zeros((n_samples, system.n))
     col = 0
     for i, ni in enumerate(system.orders):
-        for lag in range(ni):
+        for lag in range(min(ni, n_samples)):
             phis[lag:, col + lag] = inputs[: n_samples - lag, i]
         col += ni
     return phis

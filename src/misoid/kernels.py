@@ -3,8 +3,8 @@
 In both recursions the gain sequence -- the gain matrix Sigma_k, the gain
 vector c_k = Sigma_k phi_k and the scalar alpha_k -- depends on the
 regressors only, never on the outputs: the RLS covariance recursion does
-not see the measurements.  So each kernel first runs its own gain pass
-over the regressors and then the estimate pass both estimators share,
+not see the measurements.  So each kernel first runs the gain pass over the
+regressors and then the estimate pass,
 
     eps_k = y_k - theta' phi_k,    theta += alpha_k eps_k c_k,
 
@@ -14,12 +14,15 @@ estimate history is theta_0 plus the running sum of the steps
 alpha_k eps_k c_k, which numpy's cumsum adds in the same order as the
 loop, so no per-step history is stored while the pass runs.
 
-The distributed gain pass keeps the stacked gain Sigma_B as the dense
+There is one gain pass.  It keeps the stacked gain Sigma_B as the dense
 n x n block-diagonal matrix.  Sigma_B phi is then exactly every node's
 Sigma_i phi_i (the off-block entries are zero), the per-node gain scalars
 phi_i' Sigma_i phi_i are one segmented sum, and the rank-one updates of all
-blocks are one outer product masked to the blocks: there is no loop over
-the nodes.
+blocks are one outer product divided row-wise by each block's denominator
+and masked to the blocks: there is no loop over the nodes.  The central
+recursion is its one-block case with gamma^2 = 1/info_weight.  Each update
+entry (c_a c_b) / d is the same float at (a, b) and (b, a), so Sigma stays
+exactly symmetric without a symmetrisation step.
 
 Plain, monitored and Monte Carlo runs all go through the two public
 functions; the protocol in ``central`` and ``distributed`` is the
@@ -53,41 +56,16 @@ def _non_finite(k: int) -> NumericError:
     return NumericError(f"step {k}: non-finite estimate, prediction error or gain")
 
 
-def _symmetrise(sigma, buf):
-    np.add(sigma, sigma.T, out=buf)
-    np.multiply(buf, 0.5, out=sigma)
+def _gains(phis, sigma0, offsets, gamma_sq, noise_var):
+    """Gain vectors c_k (N, n), alphas (N,) and per-block gains (N, m).
 
-
-def _central_gains(phis, sigma0, noise_var, info_weight):
-    """Gain vectors c_k (N, n) and alphas (N,) of the central recursion."""
-    n_steps, n = phis.shape
-    sigma = np.array(sigma0, dtype=float)
-    buf = np.empty((n, n))
-    cs = np.empty((n_steps, n))
-    alpha = np.empty(n_steps)
-    sm_denom_base = 1.0 / info_weight
-    for k in range(n_steps):
-        phi = phis[k]
-        c = np.matmul(sigma, phi, out=cs[k])
-        s = phi @ c
-        denom = noise_var + s
-        if not 0.0 < denom < math.inf:
-            raise _bad_denominator(k, denom)
-        alpha[k] = 1.0 / denom
-        np.multiply.outer(c, c, out=buf)
-        buf /= sm_denom_base + s
-        sigma -= buf
-        _symmetrise(sigma, buf)
-    return cs, alpha
-
-
-def _distributed_gains(phis, sigma0, offsets, gammas, noise_var):
-    """Stacked gain vectors (N, n), alphas (N,) and per-node gains (N, m)."""
+    Sigma is block-diagonal with blocks delimited by offsets; block i is
+    updated with Sigma_i -= c_i c_i' / (gamma_sq[i] + phi_i' Sigma_i phi_i).
+    """
     n_steps, n = phis.shape
     starts = offsets[:-1]
     block_of = np.repeat(np.arange(starts.shape[0]), np.diff(offsets))
     in_block = (block_of[:, None] == block_of[None, :]).astype(float)
-    gamma_sq = np.asarray(gammas, dtype=float) ** 2
     sigma = np.array(sigma0, dtype=float)
     buf = np.empty((n, n))
     cs = np.empty((n_steps, n))
@@ -102,10 +80,10 @@ def _distributed_gains(phis, sigma0, offsets, gammas, noise_var):
         if not 0.0 < denom < math.inf:
             raise _bad_denominator(k, denom)
         alpha[k] = 1.0 / denom
-        np.multiply.outer(c / (gamma_sq + g)[block_of], c, out=buf)
+        np.multiply.outer(c, c, out=buf)
+        buf /= (gamma_sq + g)[block_of][:, None]
         buf *= in_block
         sigma -= buf
-        _symmetrise(sigma, buf)
     return cs, alpha, gains
 
 
@@ -155,7 +133,9 @@ def central_trajectory(phis, ys, theta0, sigma0, noise_var, info_weight):
     history of one run, or the (R, n) final estimates of R runs), the
     prediction errors ((N,) or (R, N)) and the (N,) gains alpha.
     """
-    cs, alpha = _central_gains(phis, sigma0, noise_var, info_weight)
+    n = phis.shape[1]
+    cs, alpha, _ = _gains(phis, sigma0, np.array([0, n]), np.array([1.0 / info_weight]),
+                          noise_var)
     theta, eps = _estimate_pass(phis, ys, theta0, cs, alpha)
     return theta, eps, alpha
 
@@ -169,6 +149,7 @@ def distributed_trajectory(phis, ys, theta0, sigma0, offsets, gammas, noise_var)
     prediction errors, shared gains alpha (N,) and the per-node upstream
     gain scalars phi_i' Sigma_i phi_i of every round (N, m).
     """
-    cs, alpha, gains = _distributed_gains(phis, sigma0, offsets, gammas, noise_var)
+    gamma_sq = np.asarray(gammas, dtype=float) ** 2
+    cs, alpha, gains = _gains(phis, sigma0, offsets, gamma_sq, noise_var)
     theta, eps = _estimate_pass(phis, ys, theta0, cs, alpha)
     return theta, eps, alpha, gains

@@ -123,6 +123,16 @@ class TestRun:
         assert "overline_dW" in header
 
 
+def test_system_file_with_long_module_runs(tmp_path):
+    # a 65-tap module lies outside random_system's order range, not the file format's
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"modules": [[0.01] * 65, [0.5]], "noise_std": 0.0}))
+    assert main(["run", "--system", str(path), "--samples", "20",
+                 "--out-prefix", str(tmp_path / "long")]) == 0
+    assert main(["monitor", "--system", str(path), "--mode", "distributed",
+                 "--samples", "20", "--out", str(tmp_path / "long-monitor.csv")]) == 0
+
+
 class TestMonitorCommand:
     def test_writes_report(self, tmp_path, capsys):
         system = _gen_system(tmp_path)

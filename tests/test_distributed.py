@@ -13,7 +13,6 @@ from misoid.distributed import (
     node_message,
     run_round,
     stack,
-    write_round_trace_csv,
 )
 from misoid.errors import DimensionError, NumericError, ParameterError, ProtocolError
 from misoid.fir import RegressorBank, push_inputs
@@ -251,21 +250,6 @@ class TestStackedOracle:
             _, trace = run_round(nodes, center, bank, rng.normal())
             s = float(phi @ blk.sigma_b @ phi)
             assert 0.0 < trace.down.alpha < 2.0 / s
-
-
-def test_round_trace_csv_layout(tmp_path):
-    rng = np.random.default_rng(13)
-    nodes = _random_nodes(rng, [1, 2])
-    center = FusionCenter(noise_var=0.01, m=2)
-    bank = push_inputs(RegressorBank.zeros([1, 2]), rng.normal(size=2))
-    _, trace = run_round(nodes, center, bank, 0.4, k=7)
-    path = tmp_path / "trace.csv"
-    write_round_trace_csv([trace], path, m=2)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,eps,alpha,pred_1,pred_2,gain_1,gain_2"
-    fields = lines[1].split(",")
-    assert fields[0] == "7"
-    assert float(fields[1]) == trace.down.prediction_error
 
 
 def test_init_nodes_validation():

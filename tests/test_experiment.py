@@ -10,12 +10,10 @@ from misoid.experiment import (
     build_regressors,
     first_crossing,
     generate_signals,
-    load_config,
     monte_carlo_distributed,
     random_system,
     read_trajectory_csv,
     run_experiment,
-    save_config,
     write_trajectory_csv,
 )
 
@@ -78,6 +76,17 @@ class TestRegressors:
         for t in range(12):
             bank = push_inputs(bank, inputs[t])
             assert np.allclose(phis[t], bank.stacked())
+
+    def test_fewer_samples_than_taps(self):
+        from misoid.fir import FirModule, MisoSystem, RegressorBank, push_inputs
+
+        system = MisoSystem((FirModule(np.ones(5)), FirModule(np.ones(1))), noise_std=0.0)
+        inputs = np.arange(6.0).reshape(3, 2)
+        phis = build_regressors(system, inputs)
+        bank = RegressorBank.for_system(system)
+        for t in range(3):
+            bank = push_inputs(bank, inputs[t])
+            assert np.array_equal(phis[t], bank.stacked())
 
 
 class TestRunExperiment:
@@ -204,14 +213,6 @@ class TestTrajectoryCsv:
 
 
 class TestConfigFile:
-    def test_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(seed=17, m=4, order_range=(2, 5), noise_std=0.2,
-                               gamma=50.0, samples=123, mode="central",
-                               monte_carlo_runs=7)
-        path = tmp_path / "cfg.json"
-        save_config(cfg, path)
-        assert load_config(path) == cfg
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             ExperimentConfig(order_range=(0, 3))

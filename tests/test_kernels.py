@@ -50,6 +50,25 @@ def test_central_kernel_matches_object_layer():
         assert np.allclose(theta_hist[k], state.theta_hat, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("runs", [None, 3], ids=["single", "realizations"])
+def test_central_kernel_is_the_one_block_distributed_kernel(runs):
+    # at gamma = 2, 1/(1/gamma^2) == gamma^2 exactly, so both calls run the same floats
+    cfg, system, phis, ys = _reference_setup(samples=60)
+    n = system.n
+    if runs is not None:
+        ys = ys + np.random.default_rng(7).normal(0.0, 0.1, size=(runs, ys.size))
+    gamma = 2.0
+    assert 1.0 / (1.0 / gamma**2) == gamma**2
+    central = kernels.central_trajectory(phis, ys, np.zeros(n), cfg.init_c * np.eye(n),
+                                         cfg.noise_std**2, 1.0 / gamma**2)
+    one_block = kernels.distributed_trajectory(
+        phis, ys, np.zeros(n), cfg.init_c * np.eye(n), np.array([0, n]),
+        np.array([gamma]), cfg.noise_std**2,
+    )
+    for got, want in zip(central, one_block[:3]):
+        assert np.array_equal(got, want)
+
+
 def test_distributed_kernel_matches_protocol_layer():
     _check_distributed_kernel_against_protocol(orders=None)
 
