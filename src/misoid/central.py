@@ -145,6 +145,3 @@ def rls_update_gamma(state: CentralState, phi, y: float, gamma: float) -> Centra
         raise ParameterError("gamma must be > 0")
     return _rank_one_step(state, phi, y, 1.0 / gamma**2)
 
-
-def prediction_error(state: CentralState, phi, y: float) -> float:
-    return float(y) - float(np.asarray(phi, dtype=float) @ state.theta_hat)

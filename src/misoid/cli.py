@@ -7,6 +7,7 @@ stdout lines are prefixed ``info:`` or ``result:``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -164,6 +165,10 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not (math.isfinite(args.threshold_frac) and args.threshold_frac >= 0):
+        raise ParameterError(
+            f"--threshold-frac={args.threshold_frac!r} is out of range: need a finite value >= 0"
+        )
     results = []
     for label, path in (("a", args.a), ("b", args.b)):
         cols = read_trajectory_csv(path)

@@ -16,13 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionError, ParameterError
 from .fir import FirModule, MisoSystem
-from .lyapunov import (
-    MonitorReport,
-    RunTrace,
-    check_trajectory,
-    monitor_columns,
-    monitor_row,
-)
+from .lyapunov import MonitorReport, RunTrace, check_trajectory, write_csv_rows
 
 # stream labels for the seeded sub-generators
 _STREAM_SYSTEM = 0
@@ -262,27 +256,16 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
 
 
 def write_trajectory_csv(trajectory: Trajectory, path):
-    """Header then one row per step, 17 significant digits per value.
-
-    Each row is one ``%``-format: ``'%.17g' % x`` is the same text as
-    ``format(x, '.17g')``, inf, nan and -0 included.
-    """
+    """Header then one row per step, 17 significant digits per value."""
     n = trajectory.errors.shape[1]
     header = ["k", "err_norm_sq"] + [f"err_{j + 1}" for j in range(n)] + ["eps", "alpha"]
-    monitor = trajectory.monitor
-    if monitor is not None:
-        header += monitor_columns(monitor.mode)
-    table = np.column_stack(
-        [trajectory.err_norm_sq, trajectory.errors, trajectory.eps, trajectory.alpha]
-    )
-    row_fmt = "%d," + ",".join(["%.17g"] * table.shape[1])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(trajectory.samples):
-            line = row_fmt % (k, *table[k].tolist())
-            if monitor is not None:
-                line += "," + ",".join(monitor_row(monitor.records[k], monitor.mode))
-            fh.write(line + "\n")
+    columns = [np.arange(trajectory.samples), trajectory.err_norm_sq, trajectory.errors,
+               trajectory.eps, trajectory.alpha]
+    if trajectory.monitor is not None:
+        monitor = trajectory.monitor.columns()
+        header += list(monitor)
+        columns += monitor.values()
+    write_csv_rows(path, header, columns)
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

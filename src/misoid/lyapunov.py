@@ -7,12 +7,17 @@ difference against the closed-form decrease expressions, and checks the
 gamma-largeness sufficiency bound for the distributed scheme.  It is a
 post-pass: the gain sequence of both recursions depends on the regressors
 only, so the kernel's alphas and per-block gain scalars are all it needs
-besides the estimates.  The single-step functions below, written on the
-gain matrices, are the reference forms the post-pass is tested against.
+besides the estimates.  Only W keeps a loop over the steps, for its running
+information matrix; every other column is one array expression over all
+steps.  The report is a record array with one row per step, and a gamma
+bound that does not apply or is degenerate is inf there and in the CSV.
+The single-step functions below, written on the gain matrices, are the
+reference forms the post-pass is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,10 +81,10 @@ def overline_delta_w_b(theta_err_b, phi, sigma_b, alpha_b: float) -> float:
     return -alpha_b * float(err @ phi) ** 2 * (2.0 - alpha_b * s)
 
 
-def gamma_sufficiency_bound(theta_err_b, f_matrix, phi_blocks, overline_dw: float):
+def gamma_sufficiency_bound(theta_err_b, f_matrix, phi_blocks, overline_dw: float) -> float:
     """Required upper bound on sum(1/gamma_i^2) for guaranteed decrease.
 
-    Returns |overline_dw| / (err' F' phi_B F err), or None when the
+    Returns |overline_dw| / (err' F' phi_B F err), or inf when the
     denominator is degenerate (bound vacuous: any gammas satisfy it).
     """
     err = np.asarray(theta_err_b, dtype=float)
@@ -88,7 +93,7 @@ def gamma_sufficiency_bound(theta_err_b, f_matrix, phi_blocks, overline_dw: floa
     err_next = f_mat @ err
     denom = float(err_next @ phi_b @ err_next)
     if denom <= DEGENERATE_DENOM_TOL:
-        return None
+        return np.inf
     return abs(overline_dw) / denom
 
 
@@ -98,22 +103,6 @@ def is_orthogonal(phi, theta_err) -> bool:
     err = np.asarray(theta_err, dtype=float)
     scale = np.linalg.norm(phi) * np.linalg.norm(err)
     return abs(float(phi @ err)) <= ORTHOGONAL_TOL * scale
-
-
-@dataclass(frozen=True)
-class LyapRecord:
-    """Per-step monitor record for the transition k -> k+1."""
-
-    k: int
-    w: float
-    delta_w: float
-    delta_w_closed: float | None = None  # central mode
-    overline_delta_w: float | None = None  # distributed mode
-    gamma_bound: float | None = None  # None = not applicable or degenerate
-    gamma_bound_degenerate: bool = False
-    gamma_sum: float | None = None
-    orthogonal_flag: bool = False
-    violation_flag: bool = False
 
 
 @dataclass(frozen=True)
@@ -138,130 +127,139 @@ class RunTrace:
     gains: np.ndarray | None = None  # (N, m)
 
 
+#: per monitor mode, each CSV header paired with its record field
+MONITOR_COLUMNS = {
+    "central": (
+        ("W", "w"),
+        ("deltaW", "delta_w"),
+        ("deltaW_closed", "delta_w_closed"),
+        ("orthogonal_flag", "orthogonal_flag"),
+        ("violation_flag", "violation_flag"),
+    ),
+    "distributed": (
+        ("W", "w"),
+        ("deltaW", "delta_w"),
+        ("overline_dW", "overline_delta_w"),
+        ("gamma_bound", "gamma_bound"),
+        ("gamma_sum", "gamma_sum"),
+        ("orthogonal_flag", "orthogonal_flag"),
+        ("violation_flag", "violation_flag"),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class MonitorReport:
+    """Row k of records is the transition k -> k+1; fields as in MONITOR_COLUMNS."""
+
     mode: str
-    records: list[LyapRecord] = field(default_factory=list)
+    records: np.recarray
 
     @property
     def violations(self) -> list[int]:
-        return [r.k for r in self.records if r.violation_flag]
+        return np.flatnonzero(self.records.violation_flag).tolist()
 
     @property
     def orthogonal_steps(self) -> list[int]:
-        return [r.k for r in self.records if r.orthogonal_flag]
+        return np.flatnonzero(self.records.orthogonal_flag).tolist()
 
     @property
     def gamma_implication_ok(self) -> bool:
         """Every step where the bound certifies decrease indeed decreased."""
-        return all(
-            r.delta_w < 0
-            for r in self.records
-            if r.gamma_bound is not None and r.gamma_sum is not None and r.gamma_sum < r.gamma_bound
-        )
+        if self.mode == "central":
+            return True
+        r = self.records
+        certified = np.isfinite(r.gamma_bound) & (r.gamma_sum < r.gamma_bound)
+        return bool(np.all(r.delta_w[certified] < 0))
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The monitor's CSV columns by header."""
+        return {head: self.records[name] for head, name in MONITOR_COLUMNS[self.mode]}
+
+
+def _rowdot(a, b) -> np.ndarray:
+    """a[k] @ b[k] for every row k, bit for bit as the 1-D dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _pow2(x) -> np.ndarray:
+    """x**2 by libm pow, as the scalar x**2 of a Python float.
+
+    numpy's x**2 is x*x, which differs from pow in the last bit on about
+    one value in a thousand; pow keeps the bits of the single-step forms.
+    """
+    return np.float_power(x, 2)
 
 
 def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
-    """Evaluate per-step Lyapunov records along a recorded noise-free run.
+    """Evaluate the per-step Lyapunov columns along a recorded noise-free run.
 
     No gain matrix is needed: since alpha phi'Sigma phi = 1 - alpha sigma^2,
     every closed form follows from alpha, phi, the error and the per-block
-    gain scalars, and W from the running information matrix.
+    gain scalars, and W from the running information matrix, the one loop.
+    A gamma bound that does not apply or is degenerate is inf.
     """
-    if mode not in ("central", "distributed"):
+    if mode not in MONITOR_COLUMNS:
         raise ParameterError(f"unknown monitor mode {mode!r}")
     n_steps = trace.phis.shape[0]
     if n_steps < 1:
         raise ParameterError("trace must contain at least two states")
     errs = trace.thetas - trace.theta_true
+    phis, alphas = trace.phis, trace.alphas
     sizes = np.diff(trace.offsets)
     block_of = np.repeat(np.arange(sizes.size), sizes)
     # blockdiag(w_i 1 1'): one step adds weight_mat * phi phi' to the information
     weight_mat = np.where(block_of[:, None] == block_of, trace.weights[block_of][:, None], 0.0)
     info = np.array(trace.info0, dtype=float)
-    weight_sum = float(np.sum(trace.weights))  # sum of 1/gamma_i^2, the central weight
-    w_next = w_quadratic(errs[0], info)
-    records = []
+    w = np.empty(n_steps + 1)
+    w[0] = w_quadratic(errs[0], info)
     for k in range(n_steps):
-        err, phi, alpha = errs[k], trace.phis[k], float(trace.alphas[k])
-        info += weight_mat * np.outer(phi, phi)
-        w, w_next = w_next, w_quadratic(errs[k + 1], info)
-        dw = w_next - w
-        proj = float(err @ phi)
-        a_sig = alpha * trace.noise_var  # = 1 - alpha phi'Sigma phi
-        common = dict(
-            k=k,
-            w=w,
-            delta_w=dw,
-            orthogonal_flag=is_orthogonal(phi, err),
-            violation_flag=dw > VIOLATION_TOL,
-        )
-        if mode == "central":
-            closed = proj**2 * (-alpha * (1.0 + a_sig) + weight_sum * a_sig**2)
-            records.append(LyapRecord(delta_w_closed=closed, **common))
-            continue
-        odw = -alpha * proj**2 * (1.0 + a_sig)
-        bound = None
-        if odw < 0:
-            # err'F' Phi_B F err with F = I - alpha Sigma_B phi phi', block by block
-            p_blocks = np.add.reduceat(err * phi, trace.offsets[:-1])
-            denom = float(np.sum((p_blocks - alpha * proj * trace.gains[k]) ** 2))
-            if denom > DEGENERATE_DENOM_TOL:
-                bound = abs(odw) / denom
-        records.append(
-            LyapRecord(
-                overline_delta_w=odw,
-                gamma_bound=bound,
-                gamma_bound_degenerate=odw < 0 and bound is None,
-                gamma_sum=weight_sum,
-                **common,
-            )
-        )
-    return MonitorReport(mode=mode, records=records)
-
-
-def monitor_columns(mode: str) -> list[str]:
+        info += weight_mat * np.outer(phis[k], phis[k])
+        w[k + 1] = w_quadratic(errs[k + 1], info)
+    errs = errs[:-1]
+    proj = _rowdot(errs, phis)
+    scale = np.sqrt(_rowdot(phis, phis)) * np.sqrt(_rowdot(errs, errs))
+    a_sig = alphas * trace.noise_var  # = 1 - alpha phi'Sigma phi
+    weight_sum = float(np.sum(trace.weights))  # sum of 1/gamma_i^2, the central weight
+    cols = {
+        "w": w[:-1],
+        "delta_w": np.diff(w),
+        "orthogonal_flag": np.abs(proj) <= ORTHOGONAL_TOL * scale,
+    }
+    cols["violation_flag"] = cols["delta_w"] > VIOLATION_TOL
     if mode == "central":
-        return ["W", "deltaW", "deltaW_closed", "orthogonal_flag", "violation_flag"]
-    return [
-        "W",
-        "deltaW",
-        "overline_dW",
-        "gamma_bound",
-        "gamma_sum",
-        "orthogonal_flag",
-        "violation_flag",
-    ]
+        cols["delta_w_closed"] = _pow2(proj) * (-alphas * (1.0 + a_sig) + weight_sum * _pow2(a_sig))
+    else:
+        odw = -alphas * _pow2(proj) * (1.0 + a_sig)
+        # err'F' Phi_B F err with F = I - alpha Sigma_B phi phi', block by block
+        p_blocks = np.add.reduceat(errs * phis, trace.offsets[:-1], axis=1)
+        denom = np.sum((p_blocks - (alphas * proj)[:, None] * trace.gains) ** 2, axis=1)
+        applies = (odw < 0) & (denom > DEGENERATE_DENOM_TOL)
+        cols["overline_delta_w"] = odw
+        cols["gamma_bound"] = np.divide(np.abs(odw), denom, out=np.full(n_steps, np.inf),
+                                        where=applies)
+        cols["gamma_sum"] = np.full(n_steps, weight_sum)
+    names = [name for _, name in MONITOR_COLUMNS[mode]]
+    return MonitorReport(mode, np.rec.fromarrays([cols[name] for name in names], names=names))
 
 
-def monitor_row(record: LyapRecord, mode: str) -> list[str]:
-    def num(x):
-        if x is None:
-            return "inf"  # degenerate/vacuous bound
-        return format(float(x), ".17g")
+def write_csv_rows(path, header, columns):
+    """Header then one ``%``-formatted row per step.
 
-    if mode == "central":
-        return [
-            num(record.w),
-            num(record.delta_w),
-            num(record.delta_w_closed),
-            str(int(record.orthogonal_flag)),
-            str(int(record.violation_flag)),
-        ]
-    return [
-        num(record.w),
-        num(record.delta_w),
-        num(record.overline_delta_w),
-        num(record.gamma_bound),
-        num(record.gamma_sum),
-        str(int(record.orthogonal_flag)),
-        str(int(record.violation_flag)),
-    ]
+    columns are 1-D arrays or 2-D arrays of several columns, one row per
+    step.  Integer and flag columns are written with ``%d``, floats with
+    ``%.17g``, which is the same text as ``format(x, '.17g')``, inf, nan
+    and -0 included.
+    """
+    row_fmt = ",".join(
+        "%.17g" if col.dtype.kind == "f" else "%d"
+        for col in columns for _ in range(math.prod(col.shape[1:]))
+    ) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row_fmt % tuple(row.tolist()) for row in np.column_stack(columns))
 
 
 def write_monitor_csv(report: MonitorReport, path):
-    header = ["k"] + monitor_columns(report.mode)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in report.records:
-            fh.write(",".join([str(rec.k)] + monitor_row(rec, report.mode)) + "\n")
+    cols = report.columns()
+    write_csv_rows(path, ["k", *cols], [np.arange(len(report.records)), *cols.values()])

@@ -14,6 +14,7 @@ from misoid.experiment import (
     ExperimentConfig,
     generate_signals,
     read_trajectory_csv,
+    run_central,
     run_distributed,
     write_trajectory_csv,
 )
@@ -162,6 +163,33 @@ class TestMonitorCommand:
                      "--samples", "10", "--out", str(tmp_path / "r.csv")]) == 1
 
 
+@pytest.mark.parametrize("mode", ["central", "distributed"])
+def test_run_monitor_and_monitor_csv_share_their_columns(tmp_path, mode):
+    # run --monitor and monitor write the monitor columns through one row writer
+    system_path = _gen_system(tmp_path, modules=4, max_order=4, seed=3)
+    common = ["--system", str(system_path), "--mode", mode, "--samples", "400",
+              "--sigma", "0", "--seed", "2"]
+    assert main(["run", *common, "--monitor", "--out-prefix", str(tmp_path / "run")]) == 0
+    assert main(["monitor", *common, "--out", str(tmp_path / "mon.csv")]) == 0
+    run_lines = (tmp_path / f"run-{mode}.csv").read_text().splitlines()
+    mon_lines = (tmp_path / "mon.csv").read_text().splitlines()
+    n_mon = len(mon_lines[0].split(",")) - 1  # every monitor column but k
+    assert len(run_lines) == len(mon_lines) == 401
+    for run_line, mon_line in zip(run_lines, mon_lines):
+        assert run_line.split(",")[-n_mon:] == mon_line.split(",")[1:]
+
+    system = load_system(system_path)
+    cfg = ExperimentConfig(seed=2, noise_std=0.0, samples=400, mode=mode)
+    runner = run_central if mode == "central" else run_distributed
+    report = runner(system, *generate_signals(system, cfg), cfg, monitor=True).monitor
+    cols = read_trajectory_csv(tmp_path / "mon.csv")
+    assert np.array_equal(cols["k"], np.arange(400))
+    for head, col in report.columns().items():
+        assert np.array_equal(cols[head], col), head
+    if mode == "distributed":
+        assert np.isinf(cols["gamma_bound"]).any()  # the converged tail is degenerate
+
+
 class TestCompare:
     def _make_run(self, tmp_path):
         system = _gen_system(tmp_path)
@@ -191,6 +219,18 @@ class TestCompare:
                      "--threshold-frac", "0.1"])
         assert code == 0
         assert "result: difference=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_threshold_frac_exit_1(self, tmp_path, capsys, value):
+        a, b = self._make_run(tmp_path)
+        code = main(["compare", "--a", str(a), "--b", str(b), "--threshold-frac", value])
+        assert code == 1
+        assert "--threshold-frac" in capsys.readouterr().err
+
+    def test_threshold_frac_above_one_accepted(self, tmp_path, capsys):
+        a, b = self._make_run(tmp_path)
+        assert main(["compare", "--a", str(a), "--b", str(b), "--threshold-frac", "2"]) == 0
+        assert capsys.readouterr().out.count("first_crossing=0") == 2
 
     def test_missing_column_exit_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -103,7 +103,7 @@ class TestGammaBound:
         # orthogonal next error makes the denominator vanish
         err = np.array([0.0])
         bound = gamma_sufficiency_bound(err, np.eye(1), np.eye(1), -1.0)
-        assert bound is None
+        assert np.isinf(bound)
 
     def test_scalar_substitution(self):
         bound = gamma_sufficiency_bound(
@@ -119,7 +119,7 @@ class TestGammaBound:
         rep = res.distributed.monitor
         certified = [
             r for r in rep.records
-            if r.gamma_bound is not None and r.gamma_sum < r.gamma_bound
+            if np.isfinite(r.gamma_bound) and r.gamma_sum < r.gamma_bound
         ]
         assert certified  # the bound actually fires somewhere
         assert all(r.delta_w < 0 for r in certified)
@@ -233,16 +233,16 @@ def _oracle_setup(seed, gamma, mode, sigma=0.0):
 def _assert_same_monitor(got, ref):
     """Same flags and bound decisions at every step, W to 1e-9 where resolvable."""
     assert len(got) == len(ref)
-    for g, r in zip(got, ref):
-        assert g.violation_flag == r["violation"], g.k
-        assert g.orthogonal_flag == r["orthogonal"], g.k
+    for k, (g, r) in enumerate(zip(got, ref)):
+        assert g.violation_flag == r["violation"], k
+        assert g.orthogonal_flag == r["orthogonal"], k
         if r["w"] > 1e-10:
-            assert g.w == pytest.approx(r["w"], rel=1e-9), g.k
+            assert g.w == pytest.approx(r["w"], rel=1e-9), k
         if "bound" in r:
-            assert (g.gamma_bound is None) == (r["bound"] is None), g.k
-            assert g.gamma_bound_degenerate == r["degenerate"], g.k
-            certified = r["bound"] is not None and g.gamma_sum < r["bound"]
-            assert (g.gamma_bound is not None and g.gamma_sum < g.gamma_bound) == certified, g.k
+            assert np.isinf(g.gamma_bound) == np.isinf(r["bound"]), k
+            assert (g.overline_delta_w < 0 and np.isinf(g.gamma_bound)) == r["degenerate"], k
+            certified = np.isfinite(r["bound"]) and g.gamma_sum < r["bound"]
+            assert (np.isfinite(g.gamma_bound) and g.gamma_sum < g.gamma_bound) == certified, k
 
 
 class TestMonitorOracle:
@@ -272,13 +272,13 @@ class TestMonitorOracle:
             w = w_quadratic(err, blk.info_b)
             dw = w_quadratic(blk_next.theta - theta_true, blk_next.info_b) - w
             odw = overline_delta_w_b(err, phi, blk.sigma_b, alpha)
-            bound = None
+            bound = np.inf
             if odw < 0:
                 f_mat = np.eye(blk.n) - alpha * blk.sigma_b @ np.outer(phi, phi)
                 bound = gamma_sufficiency_bound(err, f_mat, blk.phi_b(phi), odw)
             ref.append({"w": w, "violation": dw > VIOLATION_TOL,
                         "orthogonal": is_orthogonal(phi, err), "bound": bound,
-                        "degenerate": odw < 0 and bound is None})
+                        "degenerate": odw < 0 and np.isinf(bound)})
             blk = blk_next
         got = run_distributed(system, inputs, noise, cfg, monitor=True).monitor.records
         _assert_same_monitor(got, ref)
