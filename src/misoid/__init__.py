@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``fir``: FIR modules, regressor banks, output simulation, system files
+- ``fir``: FIR modules, regressor banks, system files
 - ``central``: batch LSE and central recursive LSE (sigma- and gamma-driven)
 - ``distributed``: local nodes, fusion center, round-synchronous protocol
 - ``lyapunov``: decrease monitor for the error dynamics (oracle mode)
@@ -23,9 +23,6 @@ from .fir import (
     MisoSystem,
     RegressorBank,
     load_system,
-    noise_free_output,
-    noisy_output,
-    predict,
     push_inputs,
     save_system,
 )
@@ -41,9 +38,6 @@ __all__ = [
     "RegressorBank",
     "SingularMatrixError",
     "load_system",
-    "noise_free_output",
-    "noisy_output",
-    "predict",
     "push_inputs",
     "save_system",
 ]

@@ -51,8 +51,8 @@ def from_scratch_init(n: int, c: float, noise_var: float = 1.0, mode: str = "sig
     )
 
 
-def batch_lse(data_matrix, outputs) -> np.ndarray:
-    """Solve argmin ||y - Phi theta||^2 via the normal equations."""
+def _normal_equations(data_matrix, outputs):
+    """Phi^T Phi and Phi^T y, with Phi^T Phi rejected when numerically singular."""
     phi_mat = np.asarray(data_matrix, dtype=float)
     y = np.asarray(outputs, dtype=float)
     if phi_mat.ndim != 2 or y.ndim != 1 or phi_mat.shape[0] != y.size:
@@ -65,27 +65,20 @@ def batch_lse(data_matrix, outputs) -> np.ndarray:
         raise SingularMatrixError(
             f"normal equations are numerically singular (cond ~ {cond:.3e})"
         )
-    return np.linalg.solve(gram, phi_mat.T @ y)
+    return gram, phi_mat.T @ y
 
 
-def batch_covariance(data_matrix, noise_var: float) -> np.ndarray:
-    """Batch gain matrix sigma^2 (Phi^T Phi)^-1, used to seed the recursion."""
-    phi_mat = np.asarray(data_matrix, dtype=float)
-    gram = phi_mat.T @ phi_mat
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(
-            f"normal equations are numerically singular (cond ~ {cond:.3e})"
-        )
-    return noise_var * np.linalg.inv(gram)
+def batch_lse(data_matrix, outputs) -> np.ndarray:
+    """Solve argmin ||y - Phi theta||^2 via the normal equations."""
+    return np.linalg.solve(*_normal_equations(data_matrix, outputs))
 
 
 def seed_from_batch(data_matrix, outputs, noise_var: float) -> CentralState:
-    """Batch estimate plus batch gain matrix, packaged as a recursion state."""
-    theta = batch_lse(data_matrix, outputs)
-    sigma = batch_covariance(data_matrix, noise_var)
+    """Batch estimate and gain matrix sigma^2 (Phi^T Phi)^-1 as a recursion state."""
+    gram, rhs = _normal_equations(data_matrix, outputs)
+    sigma = noise_var * np.linalg.inv(gram)
     return CentralState(
-        theta_hat=theta,
+        theta_hat=np.linalg.solve(gram, rhs),
         sigma_mat=sigma,
         info_mat=np.linalg.inv(sigma),
         noise_var=float(noise_var),

@@ -16,11 +16,9 @@ from .errors import MisoidError, ParameterError
 from .experiment import (
     ExperimentConfig,
     first_crossing,
-    generate_signals,
     random_system,
     read_trajectory_csv,
-    run_central,
-    run_distributed,
+    run_experiment,
     write_trajectory_csv,
 )
 from .fir import load_system, save_system
@@ -93,11 +91,21 @@ def _config_for(args) -> ExperimentConfig:
     )
 
 
-def _check_finite(traj, label):
+def _check_finite(traj):
+    # the kernels reject non-finite estimates, so only the squared error can overflow
     bad = ~np.isfinite(traj.err_norm_sq)
     if bad.any():
         k = int(np.nonzero(bad)[0][0])
-        raise MisoidError(f"{label} run produced a non-finite value at step {k}")
+        raise MisoidError(f"{traj.mode} run: the squared estimation error overflows at step {k}")
+
+
+def _run_trajectories(args, monitor: bool):
+    """Run the configured estimators on the system file, each trajectory checked."""
+    result = run_experiment(_config_for(args), load_system(args.system), monitor=monitor)
+    trajs = [traj for traj in (result.central, result.distributed) if traj is not None]
+    for traj in trajs:
+        _check_finite(traj)
+    return trajs
 
 
 def cmd_gen_system(args) -> int:
@@ -116,25 +124,12 @@ def cmd_gen_system(args) -> int:
 
 
 def cmd_run(args) -> int:
-    system = load_system(args.system)
-    config = _config_for(args)
-    inputs, noise = generate_signals(system, config)
-    if config.mode in ("central", "both"):
-        traj = run_central(system, inputs, noise, config, monitor=args.monitor)
-        _check_finite(traj, "central")
-        path = f"{args.out_prefix}-central.csv"
+    for traj in _run_trajectories(args, monitor=args.monitor):
+        path = f"{args.out_prefix}-{traj.mode}.csv"
         write_trajectory_csv(traj, path)
         print(f"info: wrote {path}")
         if traj.samples:
-            print(f"result: central final_err_norm_sq={traj.final_err_norm_sq():.17g}")
-    if config.mode in ("distributed", "both"):
-        traj = run_distributed(system, inputs, noise, config, monitor=args.monitor)
-        _check_finite(traj, "distributed")
-        path = f"{args.out_prefix}-distributed.csv"
-        write_trajectory_csv(traj, path)
-        print(f"info: wrote {path}")
-        if traj.samples:
-            print(f"result: distributed final_err_norm_sq={traj.final_err_norm_sq():.17g}")
+            print(f"result: {traj.mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}")
     return EXIT_OK
 
 
@@ -142,20 +137,15 @@ def cmd_monitor(args) -> int:
     if args.mode == "both":
         print("error: monitor needs --mode central or distributed", file=sys.stderr)
         return EXIT_USAGE
-    system = load_system(args.system)
-    config = _config_for(args)
-    inputs, noise = generate_signals(system, config)
-    runner = run_central if args.mode == "central" else run_distributed
-    traj = runner(system, inputs, noise, config, monitor=True)
-    _check_finite(traj, args.mode)
+    (traj,) = _run_trajectories(args, monitor=True)
     report = traj.monitor
     if report is None:
         print("error: no samples to monitor", file=sys.stderr)
         return EXIT_USAGE
     write_monitor_csv(report, args.out)
     print(f"info: wrote {args.out}")
-    if config.noise_std > 0:
-        print(f"info: sigma={config.noise_std:g} > 0: violations (steps with deltaW > 0) "
+    if args.sigma > 0:
+        print(f"info: sigma={args.sigma:g} > 0: violations (steps with deltaW > 0) "
               "then include noise-driven increases")
     print(
         f"result: violations={len(report.violations)} "
@@ -175,7 +165,7 @@ def cmd_compare(args) -> int:
         if args.metric not in cols:
             print(f"error: {path} has no column {args.metric!r}", file=sys.stderr)
             return EXIT_USAGE
-        crossing = first_crossing(cols[args.metric], args.threshold_frac)
+        crossing = first_crossing(cols[args.metric], args.threshold_frac, args.metric)
         results.append(crossing)
         shown = crossing if crossing is not None else "none"
         print(f"result: {label}={path} first_crossing={shown}")
@@ -201,7 +191,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        # every non-finite value meets an explicit check that exits 2, so
+        # numpy's floating-point warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

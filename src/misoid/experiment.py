@@ -46,7 +46,6 @@ class ExperimentConfig:
     m: int = 2
     order_range: tuple[int, int] = (1, 3)
     param_std: float = 1.0
-    input_std: float = 1.0
     noise_std: float = 0.1
     gamma: float = 100.0
     init_c: float = 100.0
@@ -62,7 +61,7 @@ class ExperimentConfig:
             raise ParameterError("m must be >= 1")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
-        for name in ("param_std", "input_std", "gamma", "init_c", "noise_std"):
+        for name in ("param_std", "gamma", "init_c", "noise_std"):
             _check_scale(name, getattr(self, name), zero_ok=name == "noise_std")
         if self.samples < 0 or self.monte_carlo_runs < 0:
             raise ParameterError("samples and monte_carlo_runs must be >= 0")
@@ -82,10 +81,10 @@ def random_system(config: ExperimentConfig) -> MisoSystem:
 
 
 def generate_signals(system: MisoSystem, config: ExperimentConfig):
-    """i.i.d. Gaussian inputs per channel and white Gaussian output noise."""
+    """i.i.d. unit-variance Gaussian inputs per channel and white Gaussian output noise."""
     n_samples = config.samples
     rng_u = np.random.default_rng([config.seed, _STREAM_INPUTS])
-    inputs = rng_u.normal(0.0, config.input_std, size=(n_samples, system.m))
+    inputs = rng_u.normal(0.0, 1.0, size=(n_samples, system.m))
     if config.noise_std > 0:
         rng_v = np.random.default_rng([config.seed, _STREAM_NOISE])
         noise = rng_v.normal(0.0, config.noise_std, size=n_samples)
@@ -212,7 +211,6 @@ class ExperimentResult:
     system: MisoSystem
     central: Trajectory | None = None
     distributed: Trajectory | None = None
-    monte_carlo_final: np.ndarray | None = None  # (runs, n) final estimates
 
 
 def run_experiment(config: ExperimentConfig, system: MisoSystem | None = None,
@@ -227,12 +225,7 @@ def run_experiment(config: ExperimentConfig, system: MisoSystem | None = None,
         central_traj = run_central(system, inputs, noise, config, monitor=monitor)
     if config.mode in ("distributed", "both"):
         dist_traj = run_distributed(system, inputs, noise, config, monitor=monitor)
-    mc_final = None
-    if config.monte_carlo_runs > 0:
-        mc_final = monte_carlo_distributed(system, config)
-    return ExperimentResult(
-        system=system, central=central_traj, distributed=dist_traj, monte_carlo_final=mc_final
-    )
+    return ExperimentResult(system=system, central=central_traj, distributed=dist_traj)
 
 
 def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.ndarray:
@@ -290,11 +283,20 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def first_crossing(values, threshold_frac: float):
-    """First index where the metric drops to threshold_frac times its start."""
+def first_crossing(values, threshold_frac: float, metric: str = "metric"):
+    """First index where the metric drops to threshold_frac times its start.
+
+    The crossing is defined only for a positive finite start; any other
+    start raises ParameterError naming the metric.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return None
+    if not 0 < values[0] < math.inf:
+        raise ParameterError(
+            f"{metric} starts at {float(values[0])!r}: "
+            "a first crossing needs a positive finite start"
+        )
     limit = threshold_frac * values[0]
     hits = np.nonzero(values <= limit)[0]
     return int(hits[0]) if hits.size else None

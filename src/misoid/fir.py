@@ -1,4 +1,4 @@
-"""MISO FIR systems, regressor windows and output simulation.
+"""MISO FIR systems, regressor windows and system files.
 
 A system is a bank of FIR modules, each a finite polynomial in the delay
 operator.  The regressor of module i is the window of its ``n_i`` most
@@ -61,10 +61,6 @@ class MisoSystem:
     def n(self) -> int:
         return sum(self.orders)
 
-    def theta_parts(self) -> list[np.ndarray]:
-        """True coefficient vectors, one per module."""
-        return [mod.coeffs.copy() for mod in self.modules]
-
     def theta_true(self) -> np.ndarray:
         """Stacked true parameter vector."""
         return np.concatenate([mod.coeffs for mod in self.modules])
@@ -116,43 +112,6 @@ def push_inputs(bank: RegressorBank, u) -> RegressorBank:
         shifted[1:] = w[:-1]
         new_windows.append(shifted)
     return RegressorBank(tuple(new_windows))
-
-
-def _check_alignment(system: MisoSystem, bank: RegressorBank):
-    if bank.orders != system.orders:
-        raise DimensionError(
-            f"bank orders {bank.orders} do not match system orders {system.orders}"
-        )
-
-
-def noise_free_output(system: MisoSystem, bank: RegressorBank) -> float:
-    """Sum of per-module window/coefficient dot products."""
-    _check_alignment(system, bank)
-    return float(
-        sum(w @ mod.coeffs for w, mod in zip(bank.windows, system.modules))
-    )
-
-
-def noisy_output(system: MisoSystem, bank: RegressorBank, noise_sample: float) -> float:
-    """Noise-free output plus an externally drawn noise sample."""
-    return noise_free_output(system, bank) + noise_sample
-
-
-def predict(theta_parts, bank: RegressorBank) -> float:
-    """Predicted output for candidate per-module parameter vectors."""
-    if len(theta_parts) != bank.m:
-        raise DimensionError(
-            f"expected {bank.m} parameter blocks, got {len(theta_parts)}"
-        )
-    total = 0.0
-    for i, (theta_i, w) in enumerate(zip(theta_parts, bank.windows)):
-        theta_i = np.asarray(theta_i, dtype=float)
-        if theta_i.shape != w.shape:
-            raise DimensionError(
-                f"parameter block {i} has shape {theta_i.shape}, window {w.shape}"
-            )
-        total += float(w @ theta_i)
-    return total
 
 
 def save_system(system: MisoSystem, path):

@@ -110,16 +110,14 @@ def _estimate_pass(phis, ys, theta0, cs, alpha):
         e = runs[:, k] - theta @ phis[k]
         theta += (alpha[k] * e)[:, None] * cs[k]
         eps[:, k] = e
-    if ys.ndim == 1:
-        hist = _history(theta0, cs, alpha, eps[0], out=cs)
-        k = _first_bad_step(hist, eps[0], alpha)
-        if k is not None:
-            raise _non_finite(k)
-        return hist, eps[0]
+    # theta += alpha eps c keeps a non-finite value non-finite, so the final
+    # values show it; only then are histories built, to name the earliest step
+    # a single run of any realization would name
     if not (np.isfinite(theta).all() and np.isfinite(eps).all()):
-        # name the step a single run of each realization would name
         steps = (_first_bad_step(_history(theta0, cs, alpha, e), e, alpha) for e in eps)
         raise _non_finite(min(k for k in steps if k is not None))
+    if ys.ndim == 1:
+        return _history(theta0, cs, alpha, eps[0], out=cs), eps[0]
     return theta, eps
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from misoid.central import (
     CentralState,
-    batch_covariance,
     batch_lse,
     from_scratch_init,
     rls_update,
@@ -162,7 +161,7 @@ class TestInit:
 def test_batch_covariance_formula():
     rng = np.random.default_rng(1)
     phi_mat = rng.normal(size=(20, 3))
-    cov = batch_covariance(phi_mat, 0.04)
+    cov = seed_from_batch(phi_mat, rng.normal(size=20), 0.04).sigma_mat
     assert np.allclose(cov, 0.04 * np.linalg.inv(phi_mat.T @ phi_mat))
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,18 @@ class TestCompare:
         assert main(["compare", "--a", str(a), "--b", str(b), "--threshold-frac", "2"]) == 0
         assert capsys.readouterr().out.count("first_crossing=0") == 2
 
+    def test_metric_without_positive_start_exit_1(self, tmp_path, capsys):
+        # deltaW starts negative, so a fraction of its start is no target
+        system = _gen_system(tmp_path)
+        mon = str(tmp_path / "mon.csv")
+        assert main(["monitor", "--system", str(system), "--mode", "distributed",
+                     "--samples", "50", "--out", mon]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--a", mon, "--b", mon, "--metric", "deltaW"]) == 1
+        captured = capsys.readouterr()
+        assert "first_crossing" not in captured.out
+        assert "deltaW" in captured.err
+
     def test_missing_column_exit_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("k,foo\n0,1.0\n")
@@ -279,6 +292,23 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert code == 2
         assert "alpha denominator" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--mode", "both", "--monitor", "--out-prefix", "{dir}/x"],
+        ["monitor", "--mode", "distributed", "--out", "{dir}/m.csv"],
+    ], ids=["run", "monitor"])
+    def test_overflowing_error_exit_2_without_warnings(self, tmp_path, capsys, command):
+        # the estimates stay finite; only the squared estimation error overflows
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"modules": [[1e200, -1e200], [1e200]]}))
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--system", str(path), "--samples", "20"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "overflows at step 0" in lines[0]
 
 
 _SANE_NUMBERS = st.sampled_from(["0", "0.1", "1", "100"])

@@ -233,3 +233,11 @@ class TestFirstCrossing:
 
     def test_no_crossing(self):
         assert first_crossing([4.0, 3.0], 0.1) is None
+
+    def test_empty_gives_none(self):
+        assert first_crossing([], 0.1) is None
+
+    @pytest.mark.parametrize("start", [-1.0, 0.0, np.inf, np.nan])
+    def test_start_not_positive_finite_rejected(self, start):
+        with pytest.raises(ParameterError, match="deltaW"):
+            first_crossing([start, -2.0, -3.0], 0.01, "deltaW")

@@ -10,12 +10,10 @@ from misoid import (
     ParameterError,
     RegressorBank,
     load_system,
-    noise_free_output,
-    noisy_output,
-    predict,
     push_inputs,
     save_system,
 )
+from misoid.experiment import outputs_from_regressors
 
 
 def _system(*coeff_lists, noise_std=0.0):
@@ -63,72 +61,9 @@ class TestWindows:
 class TestOutputs:
     def test_two_module_dot_product(self):
         system = _system([1.0], [2.0])
-        bank = RegressorBank((np.array([3.0]), np.array([4.0])))
-        assert noise_free_output(system, bank) == 11.0
-
-    def test_zero_windows_give_zero(self):
-        system = _system([1.0, 2.0], [3.0])
-        assert noise_free_output(system, RegressorBank.for_system(system)) == 0.0
-
-    def test_symmetric_cancellation(self):
-        system = _system([1.0, -1.0])
-        bank = RegressorBank((np.array([2.0, 2.0]),))
-        assert noise_free_output(system, bank) == 0.0
-
-    def test_noisy_is_additive(self):
-        system = _system([1.0], [2.0])
-        bank = RegressorBank((np.array([3.0]), np.array([4.0])))
-        assert noisy_output(system, bank, 0.05) == 11.05
-        assert noisy_output(system, bank, -0.1) == pytest.approx(11.0 - 0.1)
-
-    def test_zero_noise_identity_bit_exact(self):
-        rng = np.random.default_rng(7)
-        system = _system(rng.normal(size=3), rng.normal(size=2))
-        bank = RegressorBank.for_system(system)
-        for _ in range(5):
-            bank = push_inputs(bank, rng.normal(size=2))
-        assert noisy_output(system, bank, 0.0) == noise_free_output(system, bank)
-
-    def test_misaligned_bank_rejected(self):
-        system = _system([1.0, 2.0])
-        with pytest.raises(DimensionError):
-            noise_free_output(system, RegressorBank.zeros([3]))
-
-
-class TestPredict:
-    def test_true_parameters_match_noise_free_output(self):
-        rng = np.random.default_rng(11)
-        system = _system(rng.normal(size=2), rng.normal(size=3))
-        bank = RegressorBank.for_system(system)
-        for _ in range(4):
-            bank = push_inputs(bank, rng.normal(size=2))
-        assert predict(system.theta_parts(), bank) == noise_free_output(system, bank)
-
-    def test_zero_parameters(self):
-        bank = push_inputs(RegressorBank.zeros([2]), [1.0])
-        assert predict([np.zeros(2)], bank) == 0.0
-
-    def test_single_module_scalar(self):
-        bank = RegressorBank((np.array([4.0]),))
-        assert predict([np.array([0.5])], bank) == 2.0
-
-    def test_linearity(self):
-        rng = np.random.default_rng(13)
-        bank = RegressorBank.zeros([2, 3])
-        for _ in range(5):
-            bank = push_inputs(bank, rng.normal(size=2))
-        t1 = [rng.normal(size=2), rng.normal(size=3)]
-        t2 = [rng.normal(size=2), rng.normal(size=3)]
-        a, b = 2.5, -1.25
-        combo = [a * x + b * y for x, y in zip(t1, t2)]
-        assert predict(combo, bank) == pytest.approx(
-            a * predict(t1, bank) + b * predict(t2, bank), rel=1e-12
-        )
-
-    def test_dimension_error(self):
-        bank = RegressorBank.zeros([2])
-        with pytest.raises(DimensionError):
-            predict([np.zeros(3)], bank)
+        phis = np.array([[3.0, 4.0], [3.0, 4.0]])
+        ys = outputs_from_regressors(system, phis, [0.0, 0.05])
+        assert ys.tolist() == [11.0, 11.05]
 
 
 class TestValidationAndFiles:
