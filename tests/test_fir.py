@@ -65,6 +65,13 @@ class TestOutputs:
         ys = outputs_from_regressors(system, phis, [0.0, 0.05])
         assert ys.tolist() == [11.0, 11.05]
 
+    def test_noisy_is_additive(self):
+        system = _system([1.0], [2.0])
+        phis = np.array([[3.0, 4.0], [3.0, 4.0]])
+        ys = outputs_from_regressors(system, phis, [0.05, -0.1])
+        assert ys[0] == 11.05
+        assert ys[1] == pytest.approx(11.0 - 0.1)
+
 
 class TestValidationAndFiles:
     def test_empty_module_rejected(self):
