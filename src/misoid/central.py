@@ -1,8 +1,10 @@
 """Central least-squares baselines: batch LSE and recursive LSE.
 
 The recursive estimator keeps both the gain matrix and its inverse (the
-information matrix) up to date through rank-one updates, re-symmetrizing
-after every step so the pair stays consistent along long trajectories.
+information matrix) up to date through rank-one updates.  Each update
+entry is the same float at (a, b) and (b, a), so a symmetric state stays
+exactly symmetric; only the batch seed, whose LAPACK inverses are not
+exactly symmetric, is symmetrised, once.
 A gamma-driven variant replaces the 1/sigma^2 weight in the information
 recursion with 1/gamma^2, which is the form used for the side-by-side
 comparison against the distributed estimator.
@@ -73,20 +75,20 @@ def batch_lse(data_matrix, outputs) -> np.ndarray:
     return np.linalg.solve(*_normal_equations(data_matrix, outputs))
 
 
+def _symmetrize(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.T)
+
+
 def seed_from_batch(data_matrix, outputs, noise_var: float) -> CentralState:
     """Batch estimate and gain matrix sigma^2 (Phi^T Phi)^-1 as a recursion state."""
     gram, rhs = _normal_equations(data_matrix, outputs)
-    sigma = noise_var * np.linalg.inv(gram)
+    sigma = _symmetrize(noise_var * np.linalg.inv(gram))
     return CentralState(
         theta_hat=np.linalg.solve(gram, rhs),
         sigma_mat=sigma,
-        info_mat=np.linalg.inv(sigma),
+        info_mat=_symmetrize(np.linalg.inv(sigma)),
         noise_var=float(noise_var),
     )
-
-
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
 
 
 def _rank_one_step(state: CentralState, phi, y, info_weight: float) -> CentralState:
@@ -113,8 +115,8 @@ def _rank_one_step(state: CentralState, phi, y, info_weight: float) -> CentralSt
     theta_new = state.theta_hat + alpha * eps * c
     # Sherman-Morrison form of (Sigma^-1 + w phi phi')^-1 with w = info_weight
     sm_denom = 1.0 / info_weight + s
-    sigma_new = _symmetrize(state.sigma_mat - np.outer(c, c) / sm_denom)
-    info_new = _symmetrize(state.info_mat + info_weight * np.outer(phi, phi))
+    sigma_new = state.sigma_mat - np.outer(c, c) / sm_denom
+    info_new = state.info_mat + info_weight * np.outer(phi, phi)
 
     if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(sigma_new))):
         raise NumericError("non-finite value produced by recursive update")

@@ -91,21 +91,10 @@ def _config_for(args) -> ExperimentConfig:
     )
 
 
-def _check_finite(traj):
-    # the kernels reject non-finite estimates, so only the squared error can overflow
-    bad = ~np.isfinite(traj.err_norm_sq)
-    if bad.any():
-        k = int(np.nonzero(bad)[0][0])
-        raise MisoidError(f"{traj.mode} run: the squared estimation error overflows at step {k}")
-
-
 def _run_trajectories(args, monitor: bool):
-    """Run the configured estimators on the system file, each trajectory checked."""
+    """Run the configured estimators on the system file."""
     result = run_experiment(_config_for(args), load_system(args.system), monitor=monitor)
-    trajs = [traj for traj in (result.central, result.distributed) if traj is not None]
-    for traj in trajs:
-        _check_finite(traj)
-    return trajs
+    return [traj for traj in (result.central, result.distributed) if traj is not None]
 
 
 def cmd_gen_system(args) -> int:

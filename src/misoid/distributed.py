@@ -184,9 +184,7 @@ def local_update(node: NodeState, phi_i, down: RoundMessageDown) -> NodeState:
     theta_new = node.theta_hat + down.alpha * down.prediction_error * c
     g2 = node.gamma**2
     sigma_new = node.sigma - np.outer(c, c) / (g2 + s)
-    sigma_new = 0.5 * (sigma_new + sigma_new.T)
     info_new = node.info + np.outer(phi_i, phi_i) / g2
-    info_new = 0.5 * (info_new + info_new.T)
     if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(sigma_new))):
         raise NumericError(f"node {node.index}: non-finite value in local update")
     return replace(node, theta_hat=theta_new, sigma=sigma_new, info=info_new)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
 from .fir import FirModule, MisoSystem
 from .lyapunov import MonitorReport, RunTrace, check_trajectory, write_csv_rows
 
@@ -142,22 +142,29 @@ class Trajectory:
         return float(self.err_norm_sq[-1])
 
 
-def _monitor_report(mode, system, config, phis, theta_hist, alpha, weights, offsets, gains=None):
-    """Lyapunov records of a kernel run, or None for a run without samples."""
-    if not config.samples:
-        return None
-    trace = RunTrace(
-        theta_true=system.theta_true(),
-        thetas=np.vstack([np.zeros(system.n), theta_hist]),
-        phis=phis,
-        alphas=alpha,
-        noise_var=config.noise_std**2,
-        info0=np.eye(system.n) / config.init_c,
-        weights=weights,
-        offsets=offsets,
-        gains=gains,
-    )
-    return check_trajectory(trace, mode)
+def _record(mode, system, config, phis, theta_hist, eps, alpha, monitor,
+            weights, offsets, gains=None) -> Trajectory:
+    """The run's record, built from its error history e_0..e_N.
+
+    The kernels reject non-finite estimates, so only the squared error can
+    overflow; that raises NumericError naming the first such step, before
+    the Lyapunov monitor reads the same history.
+    """
+    errors = np.vstack([np.zeros(system.n), theta_hist])
+    errors -= system.theta_true()
+    traj = Trajectory(mode=mode, errors=errors[1:], eps=eps, alpha=alpha)
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(traj.err_norm_sq)
+    if bad.any():
+        raise NumericError(
+            f"{mode} run: the squared estimation error overflows at step {int(np.argmax(bad))}"
+        )
+    if not (monitor and config.samples):
+        return traj
+    trace = RunTrace(errors=errors, phis=phis, alphas=alpha, noise_var=config.noise_std**2,
+                     info0=np.eye(system.n) / config.init_c, weights=weights,
+                     offsets=offsets, gains=gains)
+    return replace(traj, monitor=check_trajectory(trace, mode))
 
 
 def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
@@ -175,12 +182,8 @@ def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
         phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
         config.noise_std**2, weight,
     )
-    report = None
-    if monitor:
-        report = _monitor_report("central", system, config, phis, theta_hist, alpha,
-                          np.array([weight]), np.array([0, system.n]))
-    errors = theta_hist - system.theta_true()
-    return Trajectory(mode="central", errors=errors, eps=eps, alpha=alpha, monitor=report)
+    return _record("central", system, config, phis, theta_hist, eps, alpha, monitor,
+                   np.array([weight]), np.array([0, system.n]))
 
 
 def run_distributed(system: MisoSystem, inputs, noise, config: ExperimentConfig,
@@ -198,17 +201,12 @@ def run_distributed(system: MisoSystem, inputs, noise, config: ExperimentConfig,
         phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
         offsets, gammas, config.noise_std**2,
     )
-    report = None
-    if monitor:
-        report = _monitor_report("distributed", system, config, phis, theta_hist, alpha,
-                          1.0 / gammas**2, offsets, gains)
-    errors = theta_hist - system.theta_true()
-    return Trajectory(mode="distributed", errors=errors, eps=eps, alpha=alpha, monitor=report)
+    return _record("distributed", system, config, phis, theta_hist, eps, alpha, monitor,
+                   1.0 / gammas**2, offsets, gains)
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    system: MisoSystem
     central: Trajectory | None = None
     distributed: Trajectory | None = None
 
@@ -225,7 +223,7 @@ def run_experiment(config: ExperimentConfig, system: MisoSystem | None = None,
         central_traj = run_central(system, inputs, noise, config, monitor=monitor)
     if config.mode in ("distributed", "both"):
         dist_traj = run_distributed(system, inputs, noise, config, monitor=monitor)
-    return ExperimentResult(system=system, central=central_traj, distributed=dist_traj)
+    return ExperimentResult(central=central_traj, distributed=dist_traj)
 
 
 def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.ndarray:

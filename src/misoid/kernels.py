@@ -94,13 +94,15 @@ def _history(theta0, cs, alpha, eps, out=None):
     return np.cumsum(steps, axis=0, out=steps)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _estimate_pass(phis, ys, theta0, cs, alpha):
     """Run every output realization through the gain sequence.
 
     ys is (N,) for one run or (R, N) for R realizations.  Returns the
     (N, n) estimate history (written over cs) and the (N,) errors of one
     run, or the (R, n) final estimates and the (R, N) errors of R
-    realizations.
+    realizations.  A non-finite value ends in NumericError, so numpy's
+    floating-point warnings would only repeat it.
     """
     ys = np.asarray(ys, dtype=float)
     runs = np.atleast_2d(ys)

@@ -2,12 +2,12 @@
 
 The monitor is an oracle-mode verification instrument: it needs the true
 parameter vector, evaluates the quadratic Lyapunov function along the
-estimates a trajectory kernel produced, compares the direct one-step
+estimation errors of a trajectory kernel's run, compares the direct one-step
 difference against the closed-form decrease expressions, and checks the
 gamma-largeness sufficiency bound for the distributed scheme.  It is a
 post-pass: the gain sequence of both recursions depends on the regressors
 only, so the kernel's alphas and per-block gain scalars are all it needs
-besides the estimates.  Only W keeps a loop over the steps, for its running
+besides the errors.  Only W keeps a loop over the steps, for its running
 information matrix; every other column is one array expression over all
 steps.  The report is a record array with one row per step, and a gamma
 bound that does not apply or is degenerate is inf there and in the CSV.
@@ -107,7 +107,7 @@ def is_orthogonal(phi, theta_err) -> bool:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Estimates 0..N of one run and what drove each transition.
+    """Estimation errors 0..N of one run and what drove each transition.
 
     Block i spans offsets[i]:offsets[i+1] and adds weights[i] * phi_i phi_i'
     to the information matrix at every step; the central recursion is the
@@ -116,8 +116,7 @@ class RunTrace:
     mode only.
     """
 
-    theta_true: np.ndarray  # (n,)
-    thetas: np.ndarray  # (N+1, n)
+    errors: np.ndarray  # (N+1, n) estimate minus true parameters
     phis: np.ndarray  # (N, n)
     alphas: np.ndarray  # (N,)
     noise_var: float
@@ -204,17 +203,19 @@ def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
     n_steps = trace.phis.shape[0]
     if n_steps < 1:
         raise ParameterError("trace must contain at least two states")
-    errs = trace.thetas - trace.theta_true
-    phis, alphas = trace.phis, trace.alphas
+    errs, phis, alphas = trace.errors, trace.phis, trace.alphas
     sizes = np.diff(trace.offsets)
     block_of = np.repeat(np.arange(sizes.size), sizes)
     # blockdiag(w_i 1 1'): one step adds weight_mat * phi phi' to the information
     weight_mat = np.where(block_of[:, None] == block_of, trace.weights[block_of][:, None], 0.0)
     info = np.array(trace.info0, dtype=float)
+    buf = np.empty_like(info)
     w = np.empty(n_steps + 1)
     w[0] = w_quadratic(errs[0], info)
     for k in range(n_steps):
-        info += weight_mat * np.outer(phis[k], phis[k])
+        np.multiply.outer(phis[k], phis[k], out=buf)
+        buf *= weight_mat
+        info += buf
         w[k + 1] = w_quadratic(errs[k + 1], info)
     errs = errs[:-1]
     proj = _rowdot(errs, phis)

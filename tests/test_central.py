@@ -180,3 +180,23 @@ def test_noise_free_lyapunov_value_non_increasing():
         if w_prev is not None:
             assert w <= w_prev + 1e-12
         w_prev = w
+
+
+@pytest.mark.parametrize("start", ["scratch", "seeded"])
+def test_gain_and_information_stay_exactly_symmetric(start):
+    # every update entry is the same float at (a, b) and (b, a), so only the
+    # batch seed, built from LAPACK inverses, needs symmetrising, once
+    rng = np.random.default_rng(21)
+    n, n_samples = 5, 300
+    phi_mat = rng.normal(size=(n_samples, n))
+    y = phi_mat @ rng.normal(size=n) + 0.1 * rng.normal(size=n_samples)
+    if start == "scratch":
+        state, first = from_scratch_init(n, 100.0, noise_var=0.01, mode="gamma"), 0
+    else:
+        state, first = seed_from_batch(phi_mat[: 2 * n], y[: 2 * n], 0.01), 2 * n
+    states = [state]
+    for k in range(first, n_samples):
+        states.append(rls_update_gamma(states[-1], phi_mat[k], y[k], 7.0))
+    for st in states:
+        assert np.array_equal(st.sigma_mat, st.sigma_mat.T)
+        assert np.array_equal(st.info_mat, st.info_mat.T)

@@ -114,6 +114,16 @@ class TestLocalUpdate:
             node = local_update(node, rng.normal(size=3), down)
         assert np.linalg.norm(node.info @ node.sigma - np.eye(3)) < 1e-8
 
+    def test_gain_and_information_stay_exactly_symmetric(self):
+        # each update entry is the same float at (a, b) and (b, a)
+        rng = np.random.default_rng(7)
+        node = init_nodes([4], 100.0, 7.0)[0]
+        for _ in range(300):
+            down = RoundMessageDown(rng.normal(), abs(rng.normal()) + 0.1)
+            node = local_update(node, rng.normal(size=4), down)
+            assert np.array_equal(node.sigma, node.sigma.T)
+            assert np.array_equal(node.info, node.info.T)
+
 
 class TestRunRound:
     def test_matches_manual_composition(self):

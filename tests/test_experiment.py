@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from misoid import kernels
-from misoid.errors import ParameterError
+from misoid import experiment, kernels
+from misoid.errors import NumericError, ParameterError
 from misoid.experiment import (
     ExperimentConfig,
     Trajectory,
@@ -13,9 +13,12 @@ from misoid.experiment import (
     monte_carlo_distributed,
     random_system,
     read_trajectory_csv,
+    run_central,
+    run_distributed,
     run_experiment,
     write_trajectory_csv,
 )
+from misoid.fir import FirModule, MisoSystem
 
 
 class TestRandomSystem:
@@ -123,6 +126,20 @@ class TestRunExperiment:
         b = run_experiment(cfg)
         assert a.central.errors.tobytes() == b.central.errors.tobytes()
         assert a.distributed.errors.tobytes() == b.distributed.errors.tobytes()
+
+    @pytest.mark.parametrize("run, mode", [(run_central, "central"),
+                                           (run_distributed, "distributed")])
+    def test_overflowing_error_raises_before_the_monitor(self, monkeypatch, run, mode):
+        # the estimates stay finite; only the squared estimation error overflows
+        def monitor_must_not_run(*args):
+            raise AssertionError("the monitor ran on an overflowed error history")
+
+        monkeypatch.setattr(experiment, "check_trajectory", monitor_must_not_run)
+        system = MisoSystem((FirModule([1e200, -1e200]), FirModule([1e200])))
+        cfg = ExperimentConfig(noise_std=0.0, samples=20)
+        inputs, noise = generate_signals(system, cfg)
+        with pytest.raises(NumericError, match=f"^{mode} run: .* overflows at step 0$"):
+            run(system, inputs, noise, cfg, monitor=True)
 
 
 class TestMonteCarlo:

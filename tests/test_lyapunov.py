@@ -165,7 +165,7 @@ class TestCheckTrajectory:
             alphas.append(tr.down.alpha)
             gains.append([msg.local_gain_scalar for msg in tr.ups])
         trace = RunTrace(
-            theta_true=theta_true, thetas=np.array(thetas), phis=np.array(phis),
+            errors=np.array(thetas) - theta_true, phis=np.array(phis),
             alphas=np.array(alphas), noise_var=0.0, info0=start.info_b,
             weights=1.0 / start.gammas**2, offsets=start.offsets, gains=np.array(gains),
         )
@@ -187,7 +187,7 @@ class TestCheckTrajectory:
         from misoid.lyapunov import RunTrace, check_trajectory
 
         state = from_scratch_init(2, 1.0)
-        trace = RunTrace(theta_true=np.zeros(2), thetas=state.theta_hat[None, :],
+        trace = RunTrace(errors=state.theta_hat[None, :] - np.zeros(2),
                          phis=np.zeros((0, 2)), alphas=np.zeros(0), noise_var=1.0,
                          info0=state.info_mat, weights=np.ones(1), offsets=np.array([0, 2]))
         with pytest.raises(ParameterError):
