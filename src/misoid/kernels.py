@@ -14,22 +14,32 @@ estimate history is theta_0 plus the running sum of the steps
 alpha_k eps_k c_k, which numpy's cumsum adds in the same order as the
 loop, so no per-step history is stored while the pass runs.
 
-There is one gain pass.  It keeps the stacked gain Sigma_B as the dense
-n x n block-diagonal matrix.  Sigma_B phi is then exactly every node's
-Sigma_i phi_i (the off-block entries are zero), the per-node gain scalars
-phi_i' Sigma_i phi_i are one segmented sum, and the rank-one updates of all
-blocks are one outer product divided row-wise by each block's denominator
-and masked to the blocks: there is no loop over the nodes.  The central
-recursion is its one-block case with gamma^2 = 1/info_weight.  Each update
-entry (c_a c_b) / d is the same float at (a, b) and (b, a), so Sigma stays
-exactly symmetric without a symmetrisation step.
+There is one gain pass.  Node i updates its own block with its own scalar,
+Sigma_i -= c_i c_i' / (gamma_i^2 + g_i) with g_i = phi_i' Sigma_i phi_i;
+the shared alpha_k = 1 / (sigma^2 + sum_i g_i) enters the estimate pass
+only.  So the pass is m independent covariance recursions, kept as packed
+per-node blocks: an (m, p, p) array with p the largest order, whose
+padding is the identity with zero regressor entries, so it never changes.
+The central recursion is its one-block case with gamma^2 = 1/info_weight.
+Both passes advance CHUNK steps at a time (block RLS; Haykin, Adaptive
+Filter Theory; Sayed & Kailath, 1994).  For a chunk of regressors Phi of
+one node, U = Sigma Phi' and G = gamma^2 I + Phi U = L L' give the chunk's
+gain vectors c_j = L_jj x_j, with x_j row j of X' = L^-1 U', and the new
+gain matrix Sigma - X X'.  One batched Cholesky factorisation of the
+bordered matrix [[G, U'], [U, Sigma]] yields L and X' for all nodes at
+once.  The estimate pass solves the chunk's unit lower triangular system
+(I + tril(Phi C', -1) diag(alpha)) e = y - Phi theta for the errors of all
+realizations, then adds (alpha e)' C to theta.
 
 Plain, monitored and Monte Carlo runs all go through the two public
 functions; the protocol in ``central`` and ``distributed`` is the
 specification they are tested against.  Both fail like the protocol: they
 raise ``NumericError`` naming the first step where the shared gain
 denominator is not a positive finite number or an estimate, prediction
-error or gain is non-finite.
+error or gain is non-finite.  To name that step, a chunk whose Cholesky
+factorisation fails, or that yields a bad shared denominator, is rerun one
+step at a time with the packed rank-one updates, and an estimate pass that
+ends non-finite is rerun one step at a time.
 """
 from __future__ import annotations
 
@@ -38,6 +48,9 @@ import math
 import numpy as np
 
 from .errors import NumericError
+
+#: steps per chunk of the gain and estimate passes
+CHUNK = 16
 
 
 def _bad_denominator(k: int, denom) -> NumericError:
@@ -56,34 +69,88 @@ def _non_finite(k: int) -> NumericError:
     return NumericError(f"step {k}: non-finite estimate, prediction error or gain")
 
 
-def _gains(phis, sigma0, offsets, gamma_sq, noise_var):
-    """Gain vectors c_k (N, n), alphas (N,) and per-block gains (N, m).
+def _rank_one_steps(sigma, phi, gamma_sq, noise_var, k0):
+    """The chunk starting at step k0 one step at a time, as _block_steps returns it.
 
-    Sigma is block-diagonal with blocks delimited by offsets; block i is
-    updated with Sigma_i -= c_i c_i' / (gamma_sq[i] + phi_i' Sigma_i phi_i).
+    Each node applies its own rank-one update whatever the sign of its
+    gamma_i^2 + g_i; only the shared denominator is checked, and the first
+    bad one raises NumericError naming its step.  sigma is updated in place.
+    """
+    m, b, _ = phi.shape
+    c = np.empty_like(phi)
+    gains = np.empty((b, m))
+    denom = np.empty(b)
+    for j in range(b):
+        cj = c[:, j] = np.matmul(sigma, phi[:, j, :, None])[..., 0]
+        g = gains[j] = (phi[:, j] * cj).sum(axis=1)
+        denom[j] = noise_var + g.sum()
+        if not 0.0 < denom[j] < math.inf:
+            raise _bad_denominator(k0 + j, denom[j])
+        sigma -= cj[:, :, None] * cj[:, None, :] / (gamma_sq + g)[:, None, None]
+    return c, gains, denom, sigma
+
+
+def _block_steps(sigma, phi, gamma_sq, noise_var):
+    """One chunk of every node's recursion by block RLS, or None if refused.
+
+    sigma is (m, p, p) and phi (m, b, p) for a chunk of b steps.  Returns
+    the gain vectors (m, b, p), the per-node gains (b, m), the shared
+    denominators (b,) and the new sigma.  A chunk is refused when the
+    Cholesky factorisation fails (a node's gamma_i^2 + g_i or its new gain
+    matrix is not numerically positive definite) or a shared denominator is
+    not a positive finite number.
+    """
+    m, b, p = phi.shape
+    u = np.matmul(sigma, phi.transpose(0, 2, 1))
+    # the Cholesky factor of [[G, U'], [U, Sigma]] is [[L, 0], [X, *]]
+    bordered = np.empty((m, b + p, b + p))
+    np.matmul(phi, u, out=bordered[:, :b, :b])
+    bordered[:, b:, :b] = u
+    bordered[:, :b, b:] = u.transpose(0, 2, 1)
+    bordered[:, b:, b:] = sigma
+    diag = np.arange(b)
+    bordered[:, diag, diag] += gamma_sq[:, None]
+    try:
+        factor = np.linalg.cholesky(bordered)
+    except np.linalg.LinAlgError:
+        return None
+    xt = factor[:, b:, :b].transpose(0, 2, 1)
+    c = xt * factor[:, diag, diag, None]
+    # g_j = phi_j' c_j, not L_jj^2 - gamma^2, which cancels when gamma^2 >> g_j
+    gains = (phi * c).sum(axis=2).T
+    denom = noise_var + gains.sum(axis=1)
+    if not ((0.0 < denom) & (denom < math.inf)).all():
+        return None
+    return c, gains, denom, sigma - np.matmul(xt.transpose(0, 2, 1), xt)
+
+
+def _gains(phis, sigma0, offsets, gamma_sq, noise_var):
+    """Gain vectors c_k (N, n), alphas (N,) and per-node gains (N, m).
+
+    Node i runs its own covariance recursion from its diagonal block of
+    sigma0, CHUNK steps at a time; each chunk's regressors are gathered
+    into the packed layout as the chunk is reached.
     """
     n_steps, n = phis.shape
-    starts = offsets[:-1]
-    block_of = np.repeat(np.arange(starts.shape[0]), np.diff(offsets))
-    in_block = (block_of[:, None] == block_of[None, :]).astype(float)
-    sigma = np.array(sigma0, dtype=float)
-    buf = np.empty((n, n))
+    offsets = np.asarray(offsets)
+    orders = np.diff(offsets)
+    p = int(orders.max())
+    real = np.arange(p) < orders[:, None]
+    cols = np.where(real, offsets[:-1, None] + np.arange(p), 0)
+    sigma = np.tile(np.eye(p), (orders.size, 1, 1))
+    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        sigma[i, :b - a, :b - a] = sigma0[a:b, a:b]
     cs = np.empty((n_steps, n))
     alpha = np.empty(n_steps)
-    gains = np.empty((n_steps, starts.shape[0]))
-    for k in range(n_steps):
-        phi = phis[k]
-        c = np.matmul(sigma, phi, out=cs[k])
-        g = np.add.reduceat(phi * c, starts)
-        gains[k] = g
-        denom = noise_var + g.sum()
-        if not 0.0 < denom < math.inf:
-            raise _bad_denominator(k, denom)
-        alpha[k] = 1.0 / denom
-        np.multiply.outer(c, c, out=buf)
-        buf /= (gamma_sq + g)[block_of][:, None]
-        buf *= in_block
-        sigma -= buf
+    gains = np.empty((n_steps, orders.size))
+    for k in range(0, n_steps, CHUNK):
+        phi = np.where(real, phis[k:k + CHUNK, cols], 0.0).transpose(1, 0, 2)
+        step = _block_steps(sigma, phi, gamma_sq, noise_var)
+        if step is None:
+            step = _rank_one_steps(sigma, phi, gamma_sq, noise_var, k)
+        c, gains[k:k + CHUNK], denom, sigma = step
+        cs[k:k + CHUNK] = c.transpose(1, 0, 2)[:, real]
+        alpha[k:k + CHUNK] = 1.0 / denom
     return cs, alpha, gains
 
 
@@ -92,6 +159,25 @@ def _history(theta0, cs, alpha, eps, out=None):
     steps = np.multiply(cs, (alpha * eps)[:, None], out=out)
     steps[:1] += theta0
     return np.cumsum(steps, axis=0, out=steps)
+
+
+def _estimate_chunks(phis, runs, theta0, cs, alpha, chunk):
+    """Final estimates (R, n) and errors (R, N) of R runs, chunk steps at a time.
+
+    In a chunk, e_j = y_j - theta' phi_j - sum_{l<j} alpha_l e_l c_l' phi_j
+    is a unit lower triangular system in the chunk's errors; one step per
+    chunk is the single-step loop itself.
+    """
+    theta = np.tile(theta0, (runs.shape[0], 1))
+    eps = np.empty(runs.shape)
+    for k in range(0, phis.shape[0], chunk):
+        phi, c, a = phis[k:k + chunk], cs[k:k + chunk], alpha[k:k + chunk]
+        lower = np.tril(phi @ c.T, -1) * a
+        np.fill_diagonal(lower, 1.0)
+        e = np.linalg.solve(lower, (runs[:, k:k + chunk] - theta @ phi.T).T).T
+        theta += (e * a) @ c
+        eps[:, k:k + chunk] = e
+    return theta, eps
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -106,16 +192,14 @@ def _estimate_pass(phis, ys, theta0, cs, alpha):
     """
     ys = np.asarray(ys, dtype=float)
     runs = np.atleast_2d(ys)
-    theta = np.tile(theta0, (runs.shape[0], 1))
-    eps = np.empty(runs.shape)
-    for k in range(phis.shape[0]):
-        e = runs[:, k] - theta @ phis[k]
-        theta += (alpha[k] * e)[:, None] * cs[k]
-        eps[:, k] = e
+    theta, eps = _estimate_chunks(phis, runs, theta0, cs, alpha, CHUNK)
     # theta += alpha eps c keeps a non-finite value non-finite, so the final
-    # values show it; only then are histories built, to name the earliest step
-    # a single run of any realization would name
+    # values show it.  A chunk's solve spreads it to the chunk's earlier
+    # steps, so the errors are recomputed one step at a time, and histories
+    # are built to name the earliest step a single run of any realization
+    # would name
     if not (np.isfinite(theta).all() and np.isfinite(eps).all()):
+        _, eps = _estimate_chunks(phis, runs, theta0, cs, alpha, 1)
         steps = (_first_bad_step(_history(theta0, cs, alpha, e), e, alpha) for e in eps)
         raise _non_finite(min(k for k in steps if k is not None))
     if ys.ndim == 1:

@@ -38,7 +38,30 @@ def _reference_setup(samples=80, seed=3, orders=None):
 
 
 def test_central_kernel_matches_object_layer():
-    cfg, system, phis, ys = _reference_setup()
+    _check_central_kernel_against_object_layer()
+
+
+# the passes advance CHUNK = 16 steps at a time: a lone step, one short of
+# a chunk, one chunk, one step into the next, and a partial third chunk
+CHUNK_EDGES = [1, 15, 16, 17, 37]
+
+
+@pytest.mark.parametrize("samples", CHUNK_EDGES)
+def test_kernels_match_protocol_at_chunk_edges(samples):
+    assert kernels.CHUNK == 16
+    _check_central_kernel_against_object_layer(samples)
+    _check_distributed_kernel_against_protocol(orders=None, samples=samples)
+
+
+def test_rank_one_rerun_matches_protocol(monkeypatch):
+    # refuse every block step, so each chunk runs through the rank-one rerun
+    monkeypatch.setattr(kernels, "_block_steps", lambda *args: None)
+    _check_central_kernel_against_object_layer(samples=37)
+    _check_distributed_kernel_against_protocol(orders=[3, 1, 2], samples=37)
+
+
+def _check_central_kernel_against_object_layer(samples=80):
+    cfg, system, phis, ys = _reference_setup(samples=samples)
     n = system.n
     theta_hist, eps, alpha = kernels.central_trajectory(
         phis, ys, np.zeros(n), cfg.init_c * np.eye(n), cfg.noise_std**2,
@@ -79,8 +102,8 @@ def test_distributed_kernel_matches_protocol_layer_on_layout(orders):
     _check_distributed_kernel_against_protocol(orders)
 
 
-def _check_distributed_kernel_against_protocol(orders):
-    cfg, system, phis, ys = _reference_setup(orders=orders)
+def _check_distributed_kernel_against_protocol(orders, samples=80):
+    cfg, system, phis, ys = _reference_setup(samples=samples, orders=orders)
     n = system.n
     theta_hist, eps, alpha, gains = kernels.distributed_trajectory(
         phis, ys, np.zeros(n), cfg.init_c * np.eye(n), block_offsets(system),
@@ -130,6 +153,33 @@ def _check_zero_denominator(runs):
                                        block_offsets(system), np.ones(system.m), 0.0)
 
 
+def test_zero_denominator_inside_a_chunk():
+    # sigma = 0 and inputs zero from step 20 on: with orders (1, 2) every
+    # regressor is zero from step 21, inside the chunk of steps 16..31
+    rng = np.random.default_rng(11)
+    system = MisoSystem((FirModule(rng.normal(size=1)), FirModule(rng.normal(size=2))),
+                        noise_std=0.0)
+    inputs = rng.normal(size=(40, 2))
+    inputs[20:] = 0.0
+    phis = build_regressors(system, inputs)
+    ys = outputs_from_regressors(system, phis, np.zeros(40))
+    n = system.n
+    with pytest.raises(NumericError, match="step 21:"):
+        kernels.central_trajectory(phis, ys, np.zeros(n), 100.0 * np.eye(n), 0.0, 1e-4)
+    with pytest.raises(NumericError, match="step 21:"):
+        kernels.distributed_trajectory(phis, ys, np.zeros(n), 100.0 * np.eye(n),
+                                       block_offsets(system), np.full(2, 100.0), 0.0)
+    nodes = init_nodes(system.orders, 100.0, 100.0)
+    center = FusionCenter(noise_var=0.0, m=2)
+    bank = RegressorBank.for_system(system)
+    for k in range(21):
+        bank = push_inputs(bank, inputs[k])
+        nodes, _ = run_round(nodes, center, bank, ys[k], k=k)
+    bank = push_inputs(bank, inputs[21])
+    with pytest.raises(NumericError, match="alpha denominator"):
+        run_round(nodes, center, bank, ys[21], k=21)
+
+
 def test_kernels_name_first_non_finite_step():
     _check_first_non_finite_step(runs=None)
 
@@ -157,7 +207,16 @@ def _check_first_non_finite_step(runs):
 
 
 def test_realizations_match_single_runs():
-    cfg, system, phis, ys = _reference_setup(samples=60)
+    _check_realizations_match_single_runs(samples=60)
+
+
+@pytest.mark.parametrize("samples", CHUNK_EDGES)
+def test_realizations_match_single_runs_at_chunk_edges(samples):
+    _check_realizations_match_single_runs(samples)
+
+
+def _check_realizations_match_single_runs(samples):
+    cfg, system, phis, ys = _reference_setup(samples=samples)
     n = system.n
     rng = np.random.default_rng(5)
     many = ys + rng.normal(0.0, 0.1, size=(3, ys.size))
