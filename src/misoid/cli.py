@@ -150,11 +150,8 @@ def cmd_compare(args) -> int:
         )
     results = []
     for label, path in (("a", args.a), ("b", args.b)):
-        cols = read_trajectory_csv(path)
-        if args.metric not in cols:
-            print(f"error: {path} has no column {args.metric!r}", file=sys.stderr)
-            return EXIT_USAGE
-        crossing = first_crossing(cols[args.metric], args.threshold_frac, args.metric)
+        values = read_trajectory_csv(path, [args.metric])[args.metric]
+        crossing = first_crossing(values, args.threshold_frac, args.metric)
         results.append(crossing)
         shown = crossing if crossing is not None else "none"
         print(f"result: {label}={path} first_crossing={shown}")

@@ -259,25 +259,43 @@ def write_trajectory_csv(trajectory: Trajectory, path):
     write_csv_rows(path, header, columns)
 
 
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into named float columns."""
+def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
+    """Read a trajectory CSV back into named float columns.
+
+    Only the columns in names (all when None) are parsed.  Every data row
+    is checked to have the header's field count, but a field in a column
+    that is not read is not checked to be a number.
+    """
     try:
         with open(path) as fh:
-            names = fh.readline().strip().split(",")
-            if names == [""]:
+            header = fh.readline().strip().split(",")
+            if header == [""]:
                 raise ParameterError(f"{path}: empty file")
+            index = {name: j for j, name in enumerate(header)}
+            for name in names or ():
+                if name not in index:
+                    raise ParameterError(f"{path} has no column {name!r}")
+            start = fh.tell()
+            # np.loadtxt skips empty lines and, given usecols, accepts a row
+            # as long as the columns it reads exist
+            for lineno, line in enumerate(fh, 2):
+                fields = line.count(",") + 1
+                if fields != len(header) and line != "\n":
+                    raise ParameterError(
+                        f"{path}: line {lineno} has field count {fields}, the header {len(header)}"
+                    )
+            fh.seek(start)
             with warnings.catch_warnings():
                 # a header-only file (a run without samples) has no data rows
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:  # undecodable bytes, a ragged row or a field that is not a number
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  usecols=None if names is None else [index[n] for n in names])
+    except ValueError as exc:  # undecodable bytes or a field that is not a number
         raise ParameterError(f"{path}: {exc}") from None
+    if names is None:
+        names = header
     if not data.size:
         return {name: np.empty(0) for name in names}
-    if data.shape[1] != len(names):
-        raise ParameterError(
-            f"{path}: data rows have {data.shape[1]} fields, the header {len(names)}"
-        )
     return {name: data[:, j] for j, name in enumerate(names)}
 
 

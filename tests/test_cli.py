@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from misoid.cli import main
 from misoid.experiment import (
     ExperimentConfig,
+    first_crossing,
     generate_signals,
     read_trajectory_csv,
     run_central,
@@ -250,6 +251,65 @@ class TestCompare:
         bad.write_text("k,foo\n0,1.0\n")
         a, _ = self._make_run(tmp_path)
         assert main(["compare", "--a", str(bad), "--b", str(a)]) == 1
+
+    @pytest.mark.parametrize("content,code", [
+        (b"k,err_norm_sq\n1,1.0\n\n2,0.5\n", 0),
+        (b"k,err_norm_sq\r\n1,1.0\r\n2,0.5\r\n", 0),
+        (b"k,err_norm_sq\n1,1.0\n2,0.5", 0),
+        (b"k,err_norm_sq\n", 0),
+        (b"k,err_norm_sq\n1,1.0\n  \n2,0.5\n", 1),
+        (b"k,err_norm_sq\n1,1.0\n#x\n2,0.5\n", 1),
+        (b"k,err_norm_sq,eps\n1,1.0,0\n2,0.5,\xff\n", 1),
+        (b"k,err_norm_sq\n1,1.0\n2,x\n", 1),
+        (b"k,foo\n1,1.0\n", 1),
+    ], ids=["blank-line", "crlf", "no-trailing-newline", "header-only", "whitespace-line",
+            "hash-line", "undecodable-byte-unread-column", "non-numeric-metric",
+            "missing-metric"])
+    def test_exit_codes_on_edge_files(self, tmp_path, capsys, content, code):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(content)
+        assert main(["compare", "--a", str(path), "--b", str(path),
+                     "--threshold-frac", "0.5"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.splitlines() == [captured.err.strip()]
+            assert captured.err.startswith(f"error: {path}")
+        elif content == b"k,err_norm_sq\n":
+            assert captured.out.endswith("result: difference=undefined\n")
+        else:
+            assert captured.out.count("first_crossing=1") == 2
+
+    def test_unread_column_is_not_parsed(self, tmp_path, capsys):
+        # a full read rejects the dirty file (test_malformed_csv_names_the_file)
+        clean = tmp_path / "clean.csv"
+        clean.write_text("k,err_norm_sq,eps\n0,1.0,0\n1,0.5,0\n2,0.001,0\n")
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("k,err_norm_sq,eps\n0,1.0,0\n1,0.5,x\n2,0.001,0\n")
+        outputs = []
+        for path in (clean, dirty):
+            assert main(["compare", "--a", str(path), "--b", str(path)]) == 0
+            outputs.append(capsys.readouterr().out.replace(str(path), "FILE"))
+        assert outputs[0] == outputs[1]
+        assert "first_crossing=2" in outputs[0]
+
+    @pytest.mark.parametrize("metric,flags", [
+        ("err_norm_sq", []),
+        ("W", ["--monitor", "--sigma", "0"]),
+    ], ids=["err_norm_sq", "monitor-W"])
+    def test_metric_crossing_matches_full_read(self, tmp_path, capsys, metric, flags):
+        system = _gen_system(tmp_path)
+        prefix = tmp_path / "rt"
+        assert main(["run", "--system", str(system), "--mode", "both", "--samples", "300",
+                     "--seed", "6", "--out-prefix", str(prefix), *flags]) == 0
+        paths = [f"{prefix}-central.csv", f"{prefix}-distributed.csv"]
+        capsys.readouterr()
+        assert main(["compare", "--a", paths[0], "--b", paths[1], "--metric", metric,
+                     "--threshold-frac", "0.01"]) == 0
+        out = capsys.readouterr().out
+        for label, path in zip("ab", paths):
+            crossing = first_crossing(read_trajectory_csv(path)[metric], 0.01)
+            assert crossing is not None and crossing > 0
+            assert f"result: {label}={path} first_crossing={crossing}\n" in out
 
 
 class TestErrorContract:

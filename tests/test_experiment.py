@@ -197,12 +197,31 @@ class TestTrajectoryCsv:
         "k,err_norm_sq\n0,1.0\n1\n",
         "k,err_norm_sq\n0,x\n",
         "k,err_norm_sq\n0,1.0,2.0\n1,1.0,2.0\n",
-    ], ids=["empty", "ragged", "non-numeric", "more-fields-than-header"])
+        "k,err_norm_sq,eps\n0,1.0,x\n",
+    ], ids=["empty", "ragged", "non-numeric", "more-fields-than-header", "non-numeric-eps"])
     def test_malformed_csv_names_the_file(self, tmp_path, content):
         path = tmp_path / "bad.csv"
         path.write_text(content)
         with pytest.raises(ParameterError, match="bad.csv"):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
+    def test_ragged_row_names_line_and_field_counts(self, tmp_path, names):
+        # 2 commas over 2 rows of 2 fields: only a per-row count sees the bad rows
+        path = tmp_path / "bad.csv"
+        path.write_text("k,err_norm_sq\n0,1.0,2\n1\n")
+        with pytest.raises(ParameterError) as info:
+            read_trajectory_csv(path, names)
+        assert str(info.value) == f"{path}: line 2 has field count 3, the header 2"
+
+    def test_named_columns_skip_unread_fields(self, tmp_path):
+        path = tmp_path / "dirty.csv"
+        path.write_text("k,err_norm_sq,eps\n0,1.0,x\n1,0.5,\n")
+        cols = read_trajectory_csv(path, ["err_norm_sq"])
+        assert list(cols) == ["err_norm_sq"]
+        assert cols["err_norm_sq"].tolist() == [1.0, 0.5]
+        with pytest.raises(ParameterError, match="dirty.csv has no column 'W'"):
+            read_trajectory_csv(path, ["W"])
 
     def test_row_count_and_round_trip(self, tmp_path):
         cfg = ExperimentConfig(seed=5, m=2, order_range=(1, 2), samples=25,
@@ -216,6 +235,10 @@ class TestTrajectoryCsv:
         assert np.array_equal(cols["err_norm_sq"], res.distributed.err_norm_sq)
         assert np.array_equal(cols["err_1"], res.distributed.errors[:, 0])
         assert np.array_equal(cols["eps"], res.distributed.eps)
+        some = read_trajectory_csv(path, ["alpha", "err_1"])
+        assert list(some) == ["alpha", "err_1"]
+        for name, col in some.items():
+            assert np.array_equal(col, cols[name]), name
 
     def test_monitor_columns_appended(self, tmp_path):
         cfg = ExperimentConfig(seed=5, m=2, order_range=(1, 2), noise_std=0.0,
