@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-system, run, monitor, compare.  Exit codes: 0 success,
-1 usage error, 2 runtime/numeric error, 3 I/O error.  All machine-readable
-stdout lines are prefixed ``info:`` or ``result:``.
+1 usage error, 2 runtime/numeric error or an array that cannot be
+allocated, 3 I/O error.  All machine-readable stdout lines are prefixed
+``info:`` or ``result:``.
 """
 from __future__ import annotations
 
@@ -189,6 +190,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MisoidError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

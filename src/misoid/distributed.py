@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError, ProtocolError
-from .fir import RegressorBank
+from .fir import RegressorBank, block_offsets
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,7 @@ def run_round(nodes, center: FusionCenter, bank: RegressorBank, y: float, k: int
 def stack(nodes) -> BlockState:
     """Assemble the stacked estimate and block-diagonal matrices."""
     nodes = sorted(nodes, key=lambda nd: nd.index)
-    orders = [node.order for node in nodes]
-    offsets = np.concatenate([[0], np.cumsum(orders)]).astype(np.int64)
+    offsets = block_offsets([node.order for node in nodes])
     n = int(offsets[-1])
     theta = np.concatenate([node.theta_hat for node in nodes])
     sigma_b = np.zeros((n, n))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, NumericError, ParameterError
-from .fir import FirModule, MisoSystem
+from .fir import FirModule, MisoSystem, block_offsets
 from .lyapunov import MonitorReport, RunTrace, check_trajectory, write_csv_rows
 
 # stream labels for the seeded sub-generators
@@ -83,6 +83,11 @@ def random_system(config: ExperimentConfig) -> MisoSystem:
 def generate_signals(system: MisoSystem, config: ExperimentConfig):
     """i.i.d. unit-variance Gaussian inputs per channel and white Gaussian output noise."""
     n_samples = config.samples
+    if int(n_samples) * system.m * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(
+            f"samples={n_samples} is out of range: {system.m} input channels of "
+            "float64 samples exceed the largest array numpy can address"
+        )
     rng_u = np.random.default_rng([config.seed, _STREAM_INPUTS])
     inputs = rng_u.normal(0.0, 1.0, size=(n_samples, system.m))
     if config.noise_std > 0:
@@ -112,10 +117,6 @@ def build_regressors(system: MisoSystem, inputs) -> np.ndarray:
 
 def outputs_from_regressors(system: MisoSystem, phis, noise) -> np.ndarray:
     return phis @ system.theta_true() + np.asarray(noise, dtype=float)
-
-
-def block_offsets(system: MisoSystem) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(system.orders)]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def _record(mode, system, config, phis, theta_hist, eps, alpha, monitor,
     if not (monitor and config.samples):
         return traj
     trace = RunTrace(errors=errors, phis=phis, alphas=alpha, noise_var=config.noise_std**2,
-                     info0=np.eye(system.n) / config.init_c, weights=weights,
+                     init_c=config.init_c, weights=weights,
                      offsets=offsets, gains=gains)
     return replace(traj, monitor=check_trajectory(trace, mode))
 
@@ -179,8 +180,7 @@ def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
     ys = outputs_from_regressors(system, phis, noise)
     weight = 1.0 / config.gamma**2
     theta_hist, eps, alpha = kernels.central_trajectory(
-        phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
-        config.noise_std**2, weight,
+        phis, ys, np.zeros(system.n), config.init_c, config.noise_std**2, weight,
     )
     return _record("central", system, config, phis, theta_hist, eps, alpha, monitor,
                    np.array([weight]), np.array([0, system.n]))
@@ -195,11 +195,10 @@ def run_distributed(system: MisoSystem, inputs, noise, config: ExperimentConfig,
     """
     phis = build_regressors(system, inputs)
     ys = outputs_from_regressors(system, phis, noise)
-    offsets = block_offsets(system)
+    offsets = block_offsets(system.orders)
     gammas = np.full(system.m, float(config.gamma))
     theta_hist, eps, alpha, gains = kernels.distributed_trajectory(
-        phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
-        offsets, gammas, config.noise_std**2,
+        phis, ys, np.zeros(system.n), config.init_c, offsets, gammas, config.noise_std**2,
     )
     return _record("distributed", system, config, phis, theta_hist, eps, alpha, monitor,
                    1.0 / gammas**2, offsets, gains)
@@ -240,8 +239,8 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
         rng = np.random.default_rng([config.seed, _STREAM_MC_NOISE, r])
         ys[r] = clean + rng.normal(0.0, config.noise_std, size=config.samples)
     finals, _, _, _ = kernels.distributed_trajectory(
-        phis, ys, np.zeros(system.n), config.init_c * np.eye(system.n),
-        block_offsets(system), np.full(system.m, float(config.gamma)), config.noise_std**2,
+        phis, ys, np.zeros(system.n), config.init_c, block_offsets(system.orders),
+        np.full(system.m, float(config.gamma)), config.noise_std**2,
     )
     return finals
 
@@ -259,12 +258,36 @@ def write_trajectory_csv(trajectory: Trajectory, path):
     write_csv_rows(path, header, columns)
 
 
+def _reads_as_float(field: str) -> bool:
+    """Whether np.loadtxt reads field: as Python's float, but ASCII without underscores."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and "_" not in field
+
+
+def _first_non_number(lines, header, cols):
+    """Name the first field in cols of the data lines that is not a number, or None.
+
+    Lines are numbered from 2, the first line after the header, so the
+    name gives the 1-based file line, as the field-count check does.
+    """
+    for lineno, line in enumerate(lines, 2):
+        fields = line.rstrip("\n").split(",")
+        for j in cols if line != "\n" else ():
+            if not _reads_as_float(fields[j]):
+                return f"line {lineno}, column {header[j]!r}: {fields[j]!r} is not a number"
+    return None
+
+
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
     """Read a trajectory CSV back into named float columns.
 
     Only the columns in names (all when None) are parsed.  Every data row
     is checked to have the header's field count, but a field in a column
-    that is not read is not checked to be a number.
+    that is not read is not checked to be a number.  Both errors name the
+    1-based file line.
     """
     try:
         with open(path) as fh:
@@ -284,13 +307,19 @@ def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
                     raise ParameterError(
                         f"{path}: line {lineno} has field count {fields}, the header {len(header)}"
                     )
+            usecols = None if names is None else [index[n] for n in names]
             fh.seek(start)
-            with warnings.catch_warnings():
-                # a header-only file (a run without samples) has no data rows
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                  usecols=None if names is None else [index[n] for n in names])
-    except ValueError as exc:  # undecodable bytes or a field that is not a number
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file (a run without samples) has no data rows
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+            except ValueError as exc:  # a field that is not a number
+                fh.seek(start)
+                cols = range(len(header)) if names is None else usecols
+                bad = _first_non_number(fh, header, cols)
+                raise ParameterError(f"{path}: {bad or exc}") from None
+    except ValueError as exc:  # undecodable bytes
         raise ParameterError(f"{path}: {exc}") from None
     if names is None:
         names = header

@@ -66,6 +66,11 @@ class MisoSystem:
         return np.concatenate([mod.coeffs for mod in self.modules])
 
 
+def block_offsets(orders) -> np.ndarray:
+    """Offsets (m+1,) of the modules' blocks in the stacked parameter vector."""
+    return np.concatenate([[0], np.cumsum(orders)]).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class RegressorBank:
     """Per-module sliding input windows, newest sample first.

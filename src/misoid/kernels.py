@@ -20,7 +20,8 @@ the shared alpha_k = 1 / (sigma^2 + sum_i g_i) enters the estimate pass
 only.  So the pass is m independent covariance recursions, kept as packed
 per-node blocks: an (m, p, p) array with p the largest order, whose
 padding is the identity with zero regressor entries, so it never changes.
-The central recursion is its one-block case with gamma^2 = 1/info_weight.
+Every block starts at init_c * I.  The central recursion is its one-block
+case with gamma^2 = 1/info_weight; only that one block is n x n.
 Both passes advance CHUNK steps at a time (block RLS; Haykin, Adaptive
 Filter Theory; Sayed & Kailath, 1994).  For a chunk of regressors Phi of
 one node, U = Sigma Phi' and G = gamma^2 I + Phi U = L L' give the chunk's
@@ -124,12 +125,12 @@ def _block_steps(sigma, phi, gamma_sq, noise_var):
     return c, gains, denom, sigma - np.matmul(xt.transpose(0, 2, 1), xt)
 
 
-def _gains(phis, sigma0, offsets, gamma_sq, noise_var):
+def _gains(phis, init_c, offsets, gamma_sq, noise_var):
     """Gain vectors c_k (N, n), alphas (N,) and per-node gains (N, m).
 
-    Node i runs its own covariance recursion from its diagonal block of
-    sigma0, CHUNK steps at a time; each chunk's regressors are gathered
-    into the packed layout as the chunk is reached.
+    Node i runs its own covariance recursion from init_c * I, CHUNK steps
+    at a time; each chunk's regressors are gathered into the packed layout
+    as the chunk is reached.
     """
     n_steps, n = phis.shape
     offsets = np.asarray(offsets)
@@ -137,9 +138,7 @@ def _gains(phis, sigma0, offsets, gamma_sq, noise_var):
     p = int(orders.max())
     real = np.arange(p) < orders[:, None]
     cols = np.where(real, offsets[:-1, None] + np.arange(p), 0)
-    sigma = np.tile(np.eye(p), (orders.size, 1, 1))
-    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
-        sigma[i, :b - a, :b - a] = sigma0[a:b, a:b]
+    sigma = np.where(real[:, :, None], init_c, 1.0) * np.eye(p)
     cs = np.empty((n_steps, n))
     alpha = np.empty(n_steps)
     gains = np.empty((n_steps, orders.size))
@@ -207,8 +206,8 @@ def _estimate_pass(phis, ys, theta0, cs, alpha):
     return theta, eps
 
 
-def central_trajectory(phis, ys, theta0, sigma0, noise_var, info_weight):
-    """Run the central recursion over all samples.
+def central_trajectory(phis, ys, theta0, init_c, noise_var, info_weight):
+    """Run the central recursion over all samples from the gain matrix init_c * I.
 
     phis is (N, n) with row k the regressor used at step k; ys is (N,) for
     one run or (R, N) for R output realizations on the same regressors;
@@ -218,22 +217,22 @@ def central_trajectory(phis, ys, theta0, sigma0, noise_var, info_weight):
     prediction errors ((N,) or (R, N)) and the (N,) gains alpha.
     """
     n = phis.shape[1]
-    cs, alpha, _ = _gains(phis, sigma0, np.array([0, n]), np.array([1.0 / info_weight]),
+    cs, alpha, _ = _gains(phis, init_c, np.array([0, n]), np.array([1.0 / info_weight]),
                           noise_var)
     theta, eps = _estimate_pass(phis, ys, theta0, cs, alpha)
     return theta, eps, alpha
 
 
-def distributed_trajectory(phis, ys, theta0, sigma0, offsets, gammas, noise_var):
+def distributed_trajectory(phis, ys, theta0, init_c, offsets, gammas, noise_var):
     """Run the fused distributed recursion over all samples.
 
-    sigma0 is the block-diagonal stacked gain matrix; offsets (length m+1)
-    delimit the per-node blocks.  ys, the estimates and the prediction
-    errors are shaped as in ``central_trajectory``.  Returns the estimates,
-    prediction errors, shared gains alpha (N,) and the per-node upstream
-    gain scalars phi_i' Sigma_i phi_i of every round (N, m).
+    Node i starts from init_c * I of its own order, offsets[i]:offsets[i+1].
+    ys, the estimates and the prediction errors are shaped as in
+    ``central_trajectory``.  Returns the estimates, prediction errors,
+    shared gains alpha (N,) and the per-node upstream gain scalars
+    phi_i' Sigma_i phi_i of every round (N, m).
     """
     gamma_sq = np.asarray(gammas, dtype=float) ** 2
-    cs, alpha, gains = _gains(phis, sigma0, offsets, gamma_sq, noise_var)
+    cs, alpha, gains = _gains(phis, init_c, offsets, gamma_sq, noise_var)
     theta, eps = _estimate_pass(phis, ys, theta0, cs, alpha)
     return theta, eps, alpha, gains

@@ -120,7 +120,7 @@ class RunTrace:
     phis: np.ndarray  # (N, n)
     alphas: np.ndarray  # (N,)
     noise_var: float
-    info0: np.ndarray  # (n, n) information matrix of state 0
+    init_c: float  # state 0's information matrix is I / init_c
     weights: np.ndarray  # (m,)
     offsets: np.ndarray  # (m+1,)
     gains: np.ndarray | None = None  # (N, m)
@@ -208,7 +208,7 @@ def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
     block_of = np.repeat(np.arange(sizes.size), sizes)
     # blockdiag(w_i 1 1'): one step adds weight_mat * phi phi' to the information
     weight_mat = np.where(block_of[:, None] == block_of, trace.weights[block_of][:, None], 0.0)
-    info = np.array(trace.info0, dtype=float)
+    info = np.eye(phis.shape[1]) / trace.init_c
     buf = np.empty_like(info)
     w = np.empty(n_steps + 1)
     w[0] = w_quadratic(errs[0], info)

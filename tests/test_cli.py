@@ -353,6 +353,21 @@ class TestErrorContract:
         assert code == 2
         assert "alpha denominator" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("samples,code", [("1000000000000000", 2),
+                                              ("99999999999999999999", 1)])
+    def test_unallocatable_samples_exit_without_traceback(self, tmp_path, capsys, samples,
+                                                         code):
+        # numpy refuses the 1e15-sample input array before touching memory, so
+        # it fails as an allocation (exit 2); a count whose bytes exceed what an
+        # array can address is a usage error naming samples (exit 1)
+        system = _gen_system(tmp_path)
+        assert main(["run", "--system", str(system), "--samples", samples,
+                     "--out-prefix", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+        assert code == 2 or f"samples={samples}" in err
+
     @pytest.mark.parametrize("command", [
         ["run", "--mode", "both", "--monitor", "--out-prefix", "{dir}/x"],
         ["monitor", "--mode", "distributed", "--out", "{dir}/m.csv"],

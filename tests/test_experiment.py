@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from misoid.errors import NumericError, ParameterError
 from misoid.experiment import (
     ExperimentConfig,
     Trajectory,
-    block_offsets,
     build_regressors,
     first_crossing,
     generate_signals,
@@ -18,7 +19,7 @@ from misoid.experiment import (
     run_experiment,
     write_trajectory_csv,
 )
-from misoid.fir import FirModule, MisoSystem
+from misoid.fir import FirModule, MisoSystem, block_offsets
 
 
 class TestRandomSystem:
@@ -174,10 +175,30 @@ class TestMonteCarlo:
             rng = np.random.default_rng([cfg.seed, 3, r])
             ys = phis @ system.theta_true() + rng.normal(0.0, cfg.noise_std, size=cfg.samples)
             theta_hist = kernels.distributed_trajectory(
-                phis, ys, np.zeros(system.n), cfg.init_c * np.eye(system.n),
-                block_offsets(system), np.full(system.m, cfg.gamma), cfg.noise_std**2,
+                phis, ys, np.zeros(system.n), cfg.init_c,
+                block_offsets(system.orders), np.full(system.m, cfg.gamma), cfg.noise_std**2,
             )[0]
             assert np.allclose(finals[r], theta_hist[-1], rtol=1e-10, atol=0)
+
+
+def _run_distributed_on_signals(system, cfg):
+    return run_distributed(system, *generate_signals(system, cfg), cfg)
+
+
+@pytest.mark.parametrize("run", [_run_distributed_on_signals, monte_carlo_distributed],
+                         ids=["run_distributed", "monte_carlo_distributed"])
+def test_distributed_paths_hold_no_n_by_n_array(run):
+    # 3000 order-1 modules: one n x n float64 array alone would be 72 MB
+    rng = np.random.default_rng(0)
+    system = MisoSystem(tuple(FirModule(rng.normal(size=1)) for _ in range(3000)))
+    cfg = ExperimentConfig(seed=1, samples=20, mode="distributed", monte_carlo_runs=2)
+    tracemalloc.start()
+    try:
+        run(system, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < system.n**2 * 8 / 2
 
 
 class TestTrajectoryCsv:
@@ -204,6 +225,15 @@ class TestTrajectoryCsv:
         path.write_text(content)
         with pytest.raises(ParameterError, match="bad.csv"):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("names", [None, ["eps"]], ids=["all", "one"])
+    def test_non_number_names_file_line_and_column(self, tmp_path, names):
+        # the blank line is skipped by the parser but counted as a file line
+        path = tmp_path / "b.csv"
+        path.write_text("k,err_norm_sq,eps\n0,1.0,0\n\n1,0.5,x\n")
+        with pytest.raises(ParameterError) as info:
+            read_trajectory_csv(path, names)
+        assert str(info.value) == f"{path}: line 4, column 'eps': 'x' is not a number"
 
     @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
     def test_ragged_row_names_line_and_field_counts(self, tmp_path, names):

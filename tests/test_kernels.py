@@ -7,7 +7,6 @@ from misoid.distributed import FusionCenter, init_nodes, run_round
 from misoid.errors import NumericError
 from misoid.experiment import (
     ExperimentConfig,
-    block_offsets,
     build_regressors,
     generate_signals,
     monte_carlo_distributed,
@@ -16,7 +15,7 @@ from misoid.experiment import (
     run_central,
     run_distributed,
 )
-from misoid.fir import FirModule, MisoSystem, RegressorBank, push_inputs
+from misoid.fir import FirModule, MisoSystem, RegressorBank, block_offsets, push_inputs
 
 
 def _reference_setup(samples=80, seed=3, orders=None):
@@ -64,7 +63,7 @@ def _check_central_kernel_against_object_layer(samples=80):
     cfg, system, phis, ys = _reference_setup(samples=samples)
     n = system.n
     theta_hist, eps, alpha = kernels.central_trajectory(
-        phis, ys, np.zeros(n), cfg.init_c * np.eye(n), cfg.noise_std**2,
+        phis, ys, np.zeros(n), cfg.init_c, cfg.noise_std**2,
         1.0 / cfg.gamma**2,
     )
     state = from_scratch_init(n, cfg.init_c, noise_var=cfg.noise_std**2, mode="gamma")
@@ -82,10 +81,10 @@ def test_central_kernel_is_the_one_block_distributed_kernel(runs):
         ys = ys + np.random.default_rng(7).normal(0.0, 0.1, size=(runs, ys.size))
     gamma = 2.0
     assert 1.0 / (1.0 / gamma**2) == gamma**2
-    central = kernels.central_trajectory(phis, ys, np.zeros(n), cfg.init_c * np.eye(n),
+    central = kernels.central_trajectory(phis, ys, np.zeros(n), cfg.init_c,
                                          cfg.noise_std**2, 1.0 / gamma**2)
     one_block = kernels.distributed_trajectory(
-        phis, ys, np.zeros(n), cfg.init_c * np.eye(n), np.array([0, n]),
+        phis, ys, np.zeros(n), cfg.init_c, np.array([0, n]),
         np.array([gamma]), cfg.noise_std**2,
     )
     for got, want in zip(central, one_block[:3]):
@@ -106,7 +105,7 @@ def _check_distributed_kernel_against_protocol(orders, samples=80):
     cfg, system, phis, ys = _reference_setup(samples=samples, orders=orders)
     n = system.n
     theta_hist, eps, alpha, gains = kernels.distributed_trajectory(
-        phis, ys, np.zeros(n), cfg.init_c * np.eye(n), block_offsets(system),
+        phis, ys, np.zeros(n), cfg.init_c, block_offsets(system.orders),
         np.full(system.m, cfg.gamma), cfg.noise_std**2,
     )
     inputs, _ = generate_signals(system, cfg)
@@ -147,10 +146,10 @@ def _check_zero_denominator(runs):
     phis = np.zeros((5, n))
     ys = np.zeros(5) if runs is None else np.zeros((runs, 5))
     with pytest.raises(NumericError, match="step 0"):
-        kernels.central_trajectory(phis, ys, np.zeros(n), np.eye(n), 0.0, 1.0)
+        kernels.central_trajectory(phis, ys, np.zeros(n), 1.0, 0.0, 1.0)
     with pytest.raises(NumericError, match="step 0"):
-        kernels.distributed_trajectory(phis, ys, np.zeros(n), np.eye(n),
-                                       block_offsets(system), np.ones(system.m), 0.0)
+        kernels.distributed_trajectory(phis, ys, np.zeros(n), 1.0,
+                                       block_offsets(system.orders), np.ones(system.m), 0.0)
 
 
 def test_zero_denominator_inside_a_chunk():
@@ -165,10 +164,10 @@ def test_zero_denominator_inside_a_chunk():
     ys = outputs_from_regressors(system, phis, np.zeros(40))
     n = system.n
     with pytest.raises(NumericError, match="step 21:"):
-        kernels.central_trajectory(phis, ys, np.zeros(n), 100.0 * np.eye(n), 0.0, 1e-4)
+        kernels.central_trajectory(phis, ys, np.zeros(n), 100.0, 0.0, 1e-4)
     with pytest.raises(NumericError, match="step 21:"):
-        kernels.distributed_trajectory(phis, ys, np.zeros(n), 100.0 * np.eye(n),
-                                       block_offsets(system), np.full(2, 100.0), 0.0)
+        kernels.distributed_trajectory(phis, ys, np.zeros(n), 100.0,
+                                       block_offsets(system.orders), np.full(2, 100.0), 0.0)
     nodes = init_nodes(system.orders, 100.0, 100.0)
     center = FusionCenter(noise_var=0.0, m=2)
     bank = RegressorBank.for_system(system)
@@ -200,10 +199,10 @@ def _check_first_non_finite_step(runs):
         ys[1, 4] = np.nan
         ys[2, 7] = np.inf
     with pytest.raises(NumericError, match="step 4"):
-        kernels.central_trajectory(phis, ys, np.zeros(n), np.eye(n), 0.01, 1e-4)
+        kernels.central_trajectory(phis, ys, np.zeros(n), 1.0, 0.01, 1e-4)
     with pytest.raises(NumericError, match="step 4"):
-        kernels.distributed_trajectory(phis, ys, np.zeros(n), np.eye(n),
-                                       block_offsets(system), np.full(system.m, 100.0), 0.01)
+        kernels.distributed_trajectory(phis, ys, np.zeros(n), 1.0,
+                                       block_offsets(system.orders), np.full(system.m, 100.0), 0.01)
 
 
 def test_realizations_match_single_runs():
@@ -220,10 +219,10 @@ def _check_realizations_match_single_runs(samples):
     n = system.n
     rng = np.random.default_rng(5)
     many = ys + rng.normal(0.0, 0.1, size=(3, ys.size))
-    args = (rng.normal(size=n), cfg.init_c * np.eye(n))  # a nonzero start enters the history
+    args = (rng.normal(size=n), cfg.init_c)  # a nonzero start enters the history
     for kernel, rest in ((kernels.central_trajectory, (0.01, 1e-4)),
                          (kernels.distributed_trajectory,
-                          (block_offsets(system), np.full(system.m, 100.0), 0.01))):
+                          (block_offsets(system.orders), np.full(system.m, 100.0), 0.01))):
         finals, eps = kernel(phis, many, *args, *rest)[:2]
         assert finals.shape == (3, n) and eps.shape == (3, ys.size)
         for r in range(3):

@@ -166,7 +166,7 @@ class TestCheckTrajectory:
             gains.append([msg.local_gain_scalar for msg in tr.ups])
         trace = RunTrace(
             errors=np.array(thetas) - theta_true, phis=np.array(phis),
-            alphas=np.array(alphas), noise_var=0.0, info0=start.info_b,
+            alphas=np.array(alphas), noise_var=0.0, init_c=10.0,
             weights=1.0 / start.gammas**2, offsets=start.offsets, gains=np.array(gains),
         )
         rep = check_trajectory(trace, "distributed")
@@ -189,7 +189,7 @@ class TestCheckTrajectory:
         state = from_scratch_init(2, 1.0)
         trace = RunTrace(errors=state.theta_hat[None, :] - np.zeros(2),
                          phis=np.zeros((0, 2)), alphas=np.zeros(0), noise_var=1.0,
-                         info0=state.info_mat, weights=np.ones(1), offsets=np.array([0, 2]))
+                         init_c=1.0, weights=np.ones(1), offsets=np.array([0, 2]))
         with pytest.raises(ParameterError):
             check_trajectory(trace, "central")
 
