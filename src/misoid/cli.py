@@ -104,7 +104,6 @@ def cmd_gen_system(args) -> int:
         m=args.modules,
         order_range=(args.min_order, args.max_order),
         param_std=args.param_std,
-        noise_std=0.0,
     )
     system = random_system(config)
     save_system(system, args.out)

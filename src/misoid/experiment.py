@@ -77,7 +77,7 @@ def random_system(config: ExperimentConfig) -> MisoSystem:
     modules = tuple(
         FirModule(rng.normal(0.0, config.param_std, size=int(ni))) for ni in orders
     )
-    return MisoSystem(modules, noise_std=config.noise_std)
+    return MisoSystem(modules)
 
 
 def generate_signals(system: MisoSystem, config: ExperimentConfig):

@@ -39,14 +39,11 @@ class MisoSystem:
     """m FIR modules feeding one summed output with additive noise."""
 
     modules: tuple[FirModule, ...]
-    noise_std: float = 0.0
 
     def __post_init__(self):
         mods = tuple(self.modules)
         if len(mods) < 1:
             raise ParameterError("a MISO system needs at least one module")
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be >= 0")
         object.__setattr__(self, "modules", mods)
 
     @property
@@ -69,6 +66,14 @@ class MisoSystem:
 def block_offsets(orders) -> np.ndarray:
     """Offsets (m+1,) of the modules' blocks in the stacked parameter vector."""
     return np.concatenate([[0], np.cumsum(orders)]).astype(np.int64)
+
+
+def packed_layout(offsets):
+    """(m, p) mask of the real entries of the packed per-node layout, p the largest
+    order, and their stacked columns, 0 on padding: rows[:, cols] packs as (b, m, p)."""
+    orders = np.diff(offsets)
+    real = np.arange(orders.max()) < orders[:, None]
+    return real, np.where(real, np.asarray(offsets)[:-1, None] + np.arange(real.shape[1]), 0)
 
 
 @dataclass(frozen=True)
@@ -120,23 +125,20 @@ def push_inputs(bank: RegressorBank, u) -> RegressorBank:
 
 
 def save_system(system: MisoSystem, path):
-    """Write a system file: {"modules": [[b0, ...], ...], "noise_std": s}."""
-    doc = {
-        "modules": [mod.coeffs.tolist() for mod in system.modules],
-        "noise_std": system.noise_std,
-    }
+    """Write a system file: {"modules": [[b0, ...], ...]}."""
+    doc = {"modules": [mod.coeffs.tolist() for mod in system.modules]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def load_system(path) -> MisoSystem:
-    """Read a system file; a malformed one raises ParameterError naming the path."""
+    """Read a system file's modules; a malformed one raises ParameterError naming the path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         modules = tuple(FirModule(np.asarray(c, dtype=float)) for c in doc["modules"])
-        return MisoSystem(modules, float(doc.get("noise_std", 0.0)))
+        return MisoSystem(modules)
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError,
             ParameterError) as exc:
         raise ParameterError(f"{path}: not a valid system file ({exc!r})") from None

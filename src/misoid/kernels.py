@@ -18,8 +18,8 @@ There is one gain pass.  Node i updates its own block with its own scalar,
 Sigma_i -= c_i c_i' / (gamma_i^2 + g_i) with g_i = phi_i' Sigma_i phi_i;
 the shared alpha_k = 1 / (sigma^2 + sum_i g_i) enters the estimate pass
 only.  So the pass is m independent covariance recursions, kept as packed
-per-node blocks: an (m, p, p) array with p the largest order, whose
-padding is the identity with zero regressor entries, so it never changes.
+per-node blocks (fir.packed_layout): an (m, p, p) array with p the largest
+order; the padding is the identity with zero regressors, so it never changes.
 Every block starts at init_c * I.  The central recursion is its one-block
 case with gamma^2 = 1/info_weight; only that one block is n x n.
 Both passes advance CHUNK steps at a time (block RLS; Haykin, Adaptive
@@ -49,6 +49,7 @@ import math
 import numpy as np
 
 from .errors import NumericError
+from .fir import packed_layout
 
 #: steps per chunk of the gain and estimate passes
 CHUNK = 16
@@ -133,15 +134,12 @@ def _gains(phis, init_c, offsets, gamma_sq, noise_var):
     as the chunk is reached.
     """
     n_steps, n = phis.shape
-    offsets = np.asarray(offsets)
-    orders = np.diff(offsets)
-    p = int(orders.max())
-    real = np.arange(p) < orders[:, None]
-    cols = np.where(real, offsets[:-1, None] + np.arange(p), 0)
+    real, cols = packed_layout(offsets)
+    m, p = real.shape
     sigma = np.where(real[:, :, None], init_c, 1.0) * np.eye(p)
     cs = np.empty((n_steps, n))
     alpha = np.empty(n_steps)
-    gains = np.empty((n_steps, orders.size))
+    gains = np.empty((n_steps, m))
     for k in range(0, n_steps, CHUNK):
         phi = np.where(real, phis[k:k + CHUNK, cols], 0.0).transpose(1, 0, 2)
         step = _block_steps(sigma, phi, gamma_sq, noise_var)

@@ -7,12 +7,12 @@ difference against the closed-form decrease expressions, and checks the
 gamma-largeness sufficiency bound for the distributed scheme.  It is a
 post-pass: the gain sequence of both recursions depends on the regressors
 only, so the kernel's alphas and per-block gain scalars are all it needs
-besides the errors.  Only W keeps a loop over the steps, for its running
-information matrix; every other column is one array expression over all
-steps.  The report is a record array with one row per step, and a gamma
-bound that does not apply or is degenerate is inf there and in the CSV.
-The single-step functions below, written on the gain matrices, are the
-reference forms the post-pass is tested against.
+besides the errors.  W runs kernels.CHUNK steps at a time on packed per-node
+information blocks, in the kernels' layout; every other column is one array
+expression over all steps.  The report is a record array with one row per
+step, and a gamma bound that does not apply or is degenerate is inf there
+and in the CSV.  The single-step functions below, written on the gain
+matrices, are the reference forms the post-pass is tested against.
 """
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .fir import packed_layout
+from .kernels import CHUNK
 
 #: decrease violations beyond this are flagged
 VIOLATION_TOL = 1e-12
@@ -195,8 +197,8 @@ def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
 
     No gain matrix is needed: since alpha phi'Sigma phi = 1 - alpha sigma^2,
     every closed form follows from alpha, phi, the error and the per-block
-    gain scalars, and W from the running information matrix, the one loop.
-    A gamma bound that does not apply or is degenerate is inf.
+    gain scalars, and W from packed per-node information blocks advanced per
+    chunk.  A gamma bound that does not apply or is degenerate is inf.
     """
     if mode not in MONITOR_COLUMNS:
         raise ParameterError(f"unknown monitor mode {mode!r}")
@@ -204,19 +206,18 @@ def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
     if n_steps < 1:
         raise ParameterError("trace must contain at least two states")
     errs, phis, alphas = trace.errors, trace.phis, trace.alphas
-    sizes = np.diff(trace.offsets)
-    block_of = np.repeat(np.arange(sizes.size), sizes)
-    # blockdiag(w_i 1 1'): one step adds weight_mat * phi phi' to the information
-    weight_mat = np.where(block_of[:, None] == block_of, trace.weights[block_of][:, None], 0.0)
-    info = np.eye(phis.shape[1]) / trace.init_c
-    buf = np.empty_like(info)
+    real, idx = packed_layout(trace.offsets)
+    info = np.eye(real.shape[1]) / trace.init_c * np.ones((real.shape[0], 1, 1))
     w = np.empty(n_steps + 1)
-    w[0] = w_quadratic(errs[0], info)
-    for k in range(n_steps):
-        np.multiply.outer(phis[k], phis[k], out=buf)
-        buf *= weight_mat
-        info += buf
-        w[k + 1] = w_quadratic(errs[k + 1], info)
+    w[0] = errs[0] @ errs[0] / trace.init_c
+    for k in range(0, n_steps, CHUNK):
+        # W_{k+j+1} = sum_i e_i' I_i e_i + w_i sum_{l<=j} (phi_{k+l,i}' e_i)^2 at e = e_{k+j+1}
+        e = np.where(real, errs[k + 1:k + 1 + CHUNK, idx], 0.0).transpose(1, 0, 2)
+        phi = np.where(real, phis[k:k + CHUNK, idx], 0.0).transpose(1, 0, 2)
+        pe = np.triu(np.matmul(phi, e.transpose(0, 2, 1)))
+        quad = (np.matmul(e, info) * e).sum(axis=2) + trace.weights[:, None] * (pe * pe).sum(axis=1)
+        w[k + 1:k + 1 + CHUNK] = quad.sum(axis=0)
+        info += np.matmul(trace.weights[:, None, None] * phi.transpose(0, 2, 1), phi)
     errs = errs[:-1]
     proj = _rowdot(errs, phis)
     scale = np.sqrt(_rowdot(phis, phis)) * np.sqrt(_rowdot(errs, errs))

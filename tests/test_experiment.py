@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestRegressors:
     def test_fewer_samples_than_taps(self):
         from misoid.fir import FirModule, MisoSystem, RegressorBank, push_inputs
 
-        system = MisoSystem((FirModule(np.ones(5)), FirModule(np.ones(1))), noise_std=0.0)
+        system = MisoSystem((FirModule(np.ones(5)), FirModule(np.ones(1))))
         inputs = np.arange(6.0).reshape(3, 2)
         phis = build_regressors(system, inputs)
         bank = RegressorBank.for_system(system)
@@ -185,8 +186,15 @@ def _run_distributed_on_signals(system, cfg):
     return run_distributed(system, *generate_signals(system, cfg), cfg)
 
 
-@pytest.mark.parametrize("run", [_run_distributed_on_signals, monte_carlo_distributed],
-                         ids=["run_distributed", "monte_carlo_distributed"])
+def _run_distributed_monitored(system, cfg):
+    cfg = replace(cfg, noise_std=0.0)
+    return run_distributed(system, *generate_signals(system, cfg), cfg, monitor=True)
+
+
+@pytest.mark.parametrize("run", [_run_distributed_on_signals, monte_carlo_distributed,
+                                 _run_distributed_monitored],
+                         ids=["run_distributed", "monte_carlo_distributed",
+                              "monitored_run_distributed"])
 def test_distributed_paths_hold_no_n_by_n_array(run):
     # 3000 order-1 modules: one n x n float64 array alone would be 72 MB
     rng = np.random.default_rng(0)

@@ -16,9 +16,8 @@ from misoid import (
 from misoid.experiment import outputs_from_regressors
 
 
-def _system(*coeff_lists, noise_std=0.0):
-    return MisoSystem(tuple(FirModule(np.array(c, dtype=float)) for c in coeff_lists),
-                      noise_std=noise_std)
+def _system(*coeff_lists):
+    return MisoSystem(tuple(FirModule(np.array(c, dtype=float)) for c in coeff_lists))
 
 
 class TestWindows:
@@ -83,12 +82,23 @@ class TestValidationAndFiles:
             FirModule(np.array([1.0, np.nan]))
 
     def test_system_file_round_trip(self, tmp_path):
-        system = _system([0.5, -1.5], [2.0], noise_std=0.1)
+        system = _system([0.5, -1.5], [2.0])
         path = tmp_path / "sys.json"
         save_system(system, path)
         doc = json.loads(path.read_text())
-        assert set(doc) == {"modules", "noise_std"}
+        assert set(doc) == {"modules"}
         back = load_system(path)
-        assert back.noise_std == system.noise_std
         for a, b in zip(back.modules, system.modules):
             assert a.coeffs.tolist() == b.coeffs.tolist()
+
+    def test_old_noise_std_key_is_ignored_and_not_saved(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text('{"modules": [[1.0]], "noise_std": NaN}')
+        system = load_system(path)
+        assert system.theta_true().tolist() == [1.0]
+        save_system(system, path)
+
+        def reject(name):
+            raise ValueError(f"{name} is not standard JSON")
+
+        assert json.loads(path.read_text(), parse_constant=reject) == {"modules": [[1.0]]}

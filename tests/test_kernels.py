@@ -28,8 +28,7 @@ def _reference_setup(samples=80, seed=3, orders=None):
         cfg = ExperimentConfig(seed=seed, m=len(orders), order_range=(min(orders), max(orders)),
                                noise_std=0.1, samples=samples)
         rng = np.random.default_rng([seed, 99])
-        system = MisoSystem(tuple(FirModule(rng.normal(size=ni)) for ni in orders),
-                            noise_std=cfg.noise_std)
+        system = MisoSystem(tuple(FirModule(rng.normal(size=ni)) for ni in orders))
     inputs, noise = generate_signals(system, cfg)
     phis = build_regressors(system, inputs)
     ys = outputs_from_regressors(system, phis, noise)
@@ -156,8 +155,7 @@ def test_zero_denominator_inside_a_chunk():
     # sigma = 0 and inputs zero from step 20 on: with orders (1, 2) every
     # regressor is zero from step 21, inside the chunk of steps 16..31
     rng = np.random.default_rng(11)
-    system = MisoSystem((FirModule(rng.normal(size=1)), FirModule(rng.normal(size=2))),
-                        noise_std=0.0)
+    system = MisoSystem((FirModule(rng.normal(size=1)), FirModule(rng.normal(size=2))))
     inputs = rng.normal(size=(40, 2))
     inputs[20:] = 0.0
     phis = build_regressors(system, inputs)

@@ -222,9 +222,9 @@ class TestInvariants:
         assert not is_orthogonal(phi, np.array([1.0, 0.0]))
 
 
-def _oracle_setup(seed, gamma, mode, sigma=0.0):
+def _oracle_setup(seed, gamma, mode, sigma, samples):
     cfg = ExperimentConfig(seed=seed, m=3, order_range=(1, 3), gamma=gamma,
-                           noise_std=sigma, samples=150, mode=mode)
+                           noise_std=sigma, samples=samples, mode=mode)
     system = random_system(cfg)
     inputs, noise = generate_signals(system, cfg)
     return cfg, system, inputs, noise
@@ -245,6 +245,13 @@ def _assert_same_monitor(got, ref):
             assert (np.isfinite(g.gamma_bound) and g.gamma_sum < g.gamma_bound) == certified, k
 
 
+# (seed, samples): 150 steps on four seeds, and one seed at the chunk edges
+# of W -- one step, a partial chunk, an exact chunk and the chunk after it
+_ORACLE_RUNS = [pytest.param(seed, 150, id=str(seed)) for seed in (2, 3, 5, 11)] + [
+    pytest.param(2, samples, id=f"2-N{samples}") for samples in (1, 15, 16, 17, 37)
+]
+
+
 class TestMonitorOracle:
     """The kernel post-pass against records built from protocol snapshots.
 
@@ -253,10 +260,10 @@ class TestMonitorOracle:
     dense F and phi_B, and delta_w_central_general.
     """
 
-    @pytest.mark.parametrize("seed", [2, 3, 5, 11])
+    @pytest.mark.parametrize("seed, samples", _ORACLE_RUNS)
     @pytest.mark.parametrize("gamma", [1.0, 100.0])
-    def test_distributed_matches_protocol_snapshots(self, seed, gamma):
-        cfg, system, inputs, noise = _oracle_setup(seed, gamma, "distributed")
+    def test_distributed_matches_protocol_snapshots(self, seed, samples, gamma):
+        cfg, system, inputs, noise = _oracle_setup(seed, gamma, "distributed", 0.0, samples)
         theta_true = system.theta_true()
         nodes = init_nodes(system.orders, cfg.init_c, gamma)
         center = FusionCenter(noise_var=0.0, m=system.m)
@@ -285,10 +292,10 @@ class TestMonitorOracle:
         if gamma == 1.0:
             assert any(r["violation"] for r in ref)
 
-    @pytest.mark.parametrize("seed", [2, 3, 5, 11])
+    @pytest.mark.parametrize("seed, samples", _ORACLE_RUNS)
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_central_matches_rls_states(self, seed, sigma):
-        cfg, system, inputs, noise = _oracle_setup(seed, 100.0, "central", sigma)
+    def test_central_matches_rls_states(self, seed, samples, sigma):
+        cfg, system, inputs, noise = _oracle_setup(seed, 100.0, "central", sigma, samples)
         theta_true = system.theta_true()
         phis = build_regressors(system, inputs)
         ys = outputs_from_regressors(system, phis, noise)
