@@ -127,10 +127,10 @@ def cmd_monitor(args) -> int:
         print("error: monitor needs --mode central or distributed", file=sys.stderr)
         return EXIT_USAGE
     (traj,) = _run_trajectories(args, monitor=True)
-    report = traj.monitor
-    if report is None:
+    if not traj.samples:
         print("error: no samples to monitor", file=sys.stderr)
         return EXIT_USAGE
+    report = traj.monitor
     write_monitor_csv(report, args.out)
     print(f"info: wrote {args.out}")
     if args.sigma > 0:

@@ -8,7 +8,6 @@ one experiment always consume the identical signal realization.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionError, NumericError, ParameterError
 from .fir import FirModule, MisoSystem, block_offsets
-from .lyapunov import MonitorReport, RunTrace, check_trajectory, write_csv_rows
+from .lyapunov import MONITOR_COLUMNS, MonitorReport, RunTrace, check_trajectory, write_csv_rows
 
 # stream labels for the seeded sub-generators
 _STREAM_SYSTEM = 0
@@ -160,8 +159,11 @@ def _record(mode, system, config, phis, theta_hist, eps, alpha, monitor,
         raise NumericError(
             f"{mode} run: the squared estimation error overflows at step {int(np.argmax(bad))}"
         )
-    if not (monitor and config.samples):
+    if not monitor:
         return traj
+    if not config.samples:  # no step to check, but the CSV header names the columns
+        records = np.recarray(0, [(name, float) for _, name in MONITOR_COLUMNS[mode]])
+        return replace(traj, monitor=MonitorReport(mode, records))
     trace = RunTrace(errors=errors, phis=phis, alphas=alpha, noise_var=config.noise_std**2,
                      init_c=config.init_c, weights=weights,
                      offsets=offsets, gains=gains)
@@ -258,36 +260,29 @@ def write_trajectory_csv(trajectory: Trajectory, path):
     write_csv_rows(path, header, columns)
 
 
-def _reads_as_float(field: str) -> bool:
-    """Whether np.loadtxt reads field: as Python's float, but ASCII without underscores."""
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return field.isascii() and "_" not in field
+def _number(field: str) -> float | None:
+    """field as a float, or None when it is not a number.
 
-
-def _first_non_number(lines, header, cols):
-    """Name the first field in cols of the data lines that is not a number, or None.
-
-    Lines are numbered from 2, the first line after the header, so the
-    name gives the 1-based file line, as the field-count check does.
+    The one number rule of trajectory CSVs: Python's float syntax,
+    surrounding whitespace included, but ASCII only and without
+    underscores.
     """
-    for lineno, line in enumerate(lines, 2):
-        fields = line.rstrip("\n").split(",")
-        for j in cols if line != "\n" else ():
-            if not _reads_as_float(fields[j]):
-                return f"line {lineno}, column {header[j]!r}: {fields[j]!r} is not a number"
-    return None
+    if not field.isascii() or "_" in field:
+        return None
+    try:
+        return float(field)
+    except ValueError:
+        return None
 
 
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into named float columns.
+    """Read a trajectory CSV back into named float columns, in one pass.
 
-    Only the columns in names (all when None) are parsed.  Every data row
-    is checked to have the header's field count, but a field in a column
-    that is not read is not checked to be a number.  Both errors name the
-    1-based file line.
+    Only the columns in names (all when None) are parsed, by _number's
+    rule.  An empty line is skipped; every other data line must have the
+    header's field count, but a field in a column that is not read is not
+    checked to be a number.  The first defect in file order is raised,
+    naming the 1-based file line.
     """
     try:
         with open(path) as fh:
@@ -298,33 +293,31 @@ def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
             for name in names or ():
                 if name not in index:
                     raise ParameterError(f"{path} has no column {name!r}")
-            start = fh.tell()
-            # np.loadtxt skips empty lines and, given usecols, accepts a row
-            # as long as the columns it reads exist
+            if names is None:
+                names = header
+            cols = [index[name] for name in names]
+            last = max(cols, default=0)
+            rows = []
             for lineno, line in enumerate(fh, 2):
-                fields = line.count(",") + 1
-                if fields != len(header) and line != "\n":
+                if line == "\n":
+                    continue
+                count = line.count(",") + 1
+                if count != len(header):
                     raise ParameterError(
-                        f"{path}: line {lineno} has field count {fields}, the header {len(header)}"
+                        f"{path}: line {lineno} has field count {count}, the header {len(header)}"
                     )
-            usecols = None if names is None else [index[n] for n in names]
-            fh.seek(start)
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file (a run without samples) has no data rows
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
-            except ValueError as exc:  # a field that is not a number
-                fh.seek(start)
-                cols = range(len(header)) if names is None else usecols
-                bad = _first_non_number(fh, header, cols)
-                raise ParameterError(f"{path}: {bad or exc}") from None
+                fields = line.split(",", last + 1)
+                row = [_number(fields[j]) for j in cols]
+                if None in row:
+                    j = cols[row.index(None)]
+                    field = fields[j].rstrip("\n")
+                    raise ParameterError(
+                        f"{path}: line {lineno}, column {header[j]!r}: {field!r} is not a number"
+                    )
+                rows.append(row)
     except ValueError as exc:  # undecodable bytes
         raise ParameterError(f"{path}: {exc}") from None
-    if names is None:
-        names = header
-    if not data.size:
-        return {name: np.empty(0) for name in names}
+    data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     return {name: data[:, j] for j, name in enumerate(names)}
 
 

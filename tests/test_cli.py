@@ -21,6 +21,7 @@ from misoid.experiment import (
     write_trajectory_csv,
 )
 from misoid.fir import load_system
+from misoid.lyapunov import MONITOR_COLUMNS
 
 
 def _gen_system(tmp_path, name="sys.json", modules=2, max_order=2, seed=0):
@@ -81,6 +82,25 @@ class TestRun:
         for mode in ("central", "distributed"):
             lines = (tmp_path / f"empty-{mode}.csv").read_text().splitlines()
             assert len(lines) == 1
+
+    def test_monitored_zero_samples_header_names_monitor_columns(self, tmp_path, capsys):
+        # a header-only file still has a W column, so compare finds no crossing in it
+        system = _gen_system(tmp_path)
+        prefix = str(tmp_path / "empty")
+        assert main(["run", "--system", str(system), "--mode", "both", "--samples", "0",
+                     "--monitor", "--out-prefix", prefix]) == 0
+        paths = [f"{prefix}-central.csv", f"{prefix}-distributed.csv"]
+        for mode in ("central", "distributed"):
+            lines = (tmp_path / f"empty-{mode}.csv").read_text().splitlines()
+            heads = ["alpha"] + [head for head, _ in MONITOR_COLUMNS[mode]]
+            assert len(lines) == 1 and lines[0].endswith(",".join(heads))
+        capsys.readouterr()
+        assert main(["compare", "--a", paths[0], "--b", paths[1], "--metric", "W"]) == 0
+        assert capsys.readouterr().out.count("first_crossing=none") == 2
+        out = tmp_path / "m.csv"
+        assert main(["monitor", "--system", str(system), "--mode", "central",
+                     "--samples", "0", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_noise_free_central_recovery(self, tmp_path):
         system = _gen_system(tmp_path)

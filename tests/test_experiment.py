@@ -21,6 +21,7 @@ from misoid.experiment import (
     write_trajectory_csv,
 )
 from misoid.fir import FirModule, MisoSystem, block_offsets
+from misoid.lyapunov import write_csv_rows
 
 
 class TestRandomSystem:
@@ -227,7 +228,12 @@ class TestTrajectoryCsv:
         "k,err_norm_sq\n0,x\n",
         "k,err_norm_sq\n0,1.0,2.0\n1,1.0,2.0\n",
         "k,err_norm_sq,eps\n0,1.0,x\n",
-    ], ids=["empty", "ragged", "non-numeric", "more-fields-than-header", "non-numeric-eps"])
+        "k,err_norm_sq\n0,1.0\n1,x\n2\n",
+        "k,err_norm_sq\n0,1_0\n",
+        "k,err_norm_sq\n0,\u0661\n",
+        "k,err_norm_sq\n0,0x10\n",
+    ], ids=["empty", "ragged", "non-numeric", "more-fields-than-header", "non-numeric-eps",
+            "two-defects", "underscore", "arabic-indic-digit", "hex"])
     def test_malformed_csv_names_the_file(self, tmp_path, content):
         path = tmp_path / "bad.csv"
         path.write_text(content)
@@ -242,6 +248,15 @@ class TestTrajectoryCsv:
         with pytest.raises(ParameterError) as info:
             read_trajectory_csv(path, names)
         assert str(info.value) == f"{path}: line 4, column 'eps': 'x' is not a number"
+
+    @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
+    def test_first_defect_in_file_order_is_named(self, tmp_path, names):
+        # the bad number on line 3 comes before the short row on line 4
+        path = tmp_path / "two.csv"
+        path.write_text("k,err_norm_sq\n0,1.0\n1,x\n2\n")
+        with pytest.raises(ParameterError) as info:
+            read_trajectory_csv(path, names)
+        assert str(info.value) == f"{path}: line 3, column 'err_norm_sq': 'x' is not a number"
 
     @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
     def test_ragged_row_names_line_and_field_counts(self, tmp_path, names):
@@ -260,6 +275,17 @@ class TestTrajectoryCsv:
         assert cols["err_norm_sq"].tolist() == [1.0, 0.5]
         with pytest.raises(ParameterError, match="dirty.csv has no column 'W'"):
             read_trajectory_csv(path, ["W"])
+
+    @pytest.mark.parametrize("names", [None, ["x"]], ids=["all", "one"])
+    def test_edge_floats_round_trip_bit_for_bit(self, tmp_path, names):
+        big = np.finfo(float).max
+        values = np.array([-0.0, 0.0, 5e-324, -5e-324, big, -big, np.inf, -np.inf, np.nan])
+        path = tmp_path / "edge.csv"
+        write_csv_rows(path, ["k", "x"], [np.arange(values.size), values])
+        cols = read_trajectory_csv(path, names)
+        assert cols["x"].tobytes() == values.tobytes()  # sign of zero and NaN bits too
+        if names is None:
+            assert np.array_equal(cols["k"], np.arange(values.size))
 
     def test_row_count_and_round_trip(self, tmp_path):
         cfg = ExperimentConfig(seed=5, m=2, order_range=(1, 2), samples=25,
