@@ -8,14 +8,14 @@ one experiment always consume the identical signal realization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import DimensionError, NumericError, ParameterError
 from .fir import FirModule, MisoSystem, block_offsets
-from .lyapunov import MONITOR_COLUMNS, MonitorReport, RunTrace, check_trajectory, write_csv_rows
+from .lyapunov import MonitorReport, check_trajectory, write_csv_rows
 
 # stream labels for the seeded sub-generators
 _STREAM_SYSTEM = 0
@@ -32,11 +32,8 @@ def _check_scale(name: str, value: float, zero_ok: bool = False):
     positive finite float; only noise_std may be exactly 0.
     """
     if not ((zero_ok and value == 0) or (value > 0 and 0 < value * value < math.inf)):
-        rel = ">= 0" if zero_ok else "> 0"
-        raise ParameterError(
-            f"{name}={value!r} is out of range: need {name} {rel} and, "
-            f"unless it is 0, 0 < {name}^2 < inf"
-        )
+        need = f"{name} >= 0 and, unless it is 0," if zero_ok else f"{name} > 0 and"
+        raise ParameterError(f"{name}={value!r} is out of range: need {need} 0 < {name}^2 < inf")
 
 
 @dataclass(frozen=True)
@@ -127,14 +124,15 @@ class Trajectory:
     eps: np.ndarray  # (N,)
     alpha: np.ndarray  # (N,)
     monitor: MonitorReport | None = None
+    err_norm_sq: np.ndarray | None = None  # (N,) summed from errors when not given
+
+    def __post_init__(self):
+        if self.err_norm_sq is None:
+            object.__setattr__(self, "err_norm_sq", np.sum(self.errors**2, axis=1))
 
     @property
     def samples(self) -> int:
         return self.errors.shape[0]
-
-    @property
-    def err_norm_sq(self) -> np.ndarray:
-        return np.sum(self.errors**2, axis=1)
 
     def final_err_norm_sq(self) -> float:
         if self.samples == 0:
@@ -152,22 +150,18 @@ def _record(mode, system, config, phis, theta_hist, eps, alpha, monitor,
     """
     errors = np.vstack([np.zeros(system.n), theta_hist])
     errors -= system.theta_true()
-    traj = Trajectory(mode=mode, errors=errors[1:], eps=eps, alpha=alpha)
     with np.errstate(over="ignore"):
-        bad = ~np.isfinite(traj.err_norm_sq)
+        err_norm_sq = np.sum(errors[1:]**2, axis=1)
+    bad = ~np.isfinite(err_norm_sq)
     if bad.any():
         raise NumericError(
             f"{mode} run: the squared estimation error overflows at step {int(np.argmax(bad))}"
         )
-    if not monitor:
-        return traj
-    if not config.samples:  # no step to check, but the CSV header names the columns
-        records = np.recarray(0, [(name, float) for _, name in MONITOR_COLUMNS[mode]])
-        return replace(traj, monitor=MonitorReport(mode, records))
-    trace = RunTrace(errors=errors, phis=phis, alphas=alpha, noise_var=config.noise_std**2,
-                     init_c=config.init_c, weights=weights,
-                     offsets=offsets, gains=gains)
-    return replace(traj, monitor=check_trajectory(trace, mode))
+    report = None
+    if monitor:
+        report = check_trajectory(mode, errors, phis, alpha, config.noise_std**2, config.init_c,
+                                  weights, offsets, gains)
+    return Trajectory(mode, errors[1:], eps, alpha, report, err_norm_sq)
 
 
 def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
@@ -275,6 +269,16 @@ def _number(field: str) -> float | None:
         return None
 
 
+def _undecodable(path) -> str | None:
+    """Name path's first byte that is not UTF-8 by its line, counted as text mode does."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh.read().splitlines(), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{path}: line {lineno} has byte 0x{line[exc.start]:02x}, which is not UTF-8"
+
+
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
     """Read a trajectory CSV back into named float columns, in one pass.
 
@@ -282,10 +286,10 @@ def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
     rule.  An empty line is skipped; every other data line must have the
     header's field count, but a field in a column that is not read is not
     checked to be a number.  The first defect in file order is raised,
-    naming the 1-based file line.
+    naming the 1-based file line; a byte that is not UTF-8 is one anywhere.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if header == [""]:
                 raise ParameterError(f"{path}: empty file")
@@ -315,8 +319,8 @@ def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
                         f"{path}: line {lineno}, column {header[j]!r}: {field!r} is not a number"
                     )
                 rows.append(row)
-    except ValueError as exc:  # undecodable bytes
-        raise ParameterError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError(_undecodable(path) or f"{path}: {exc}") from None
     data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     return {name: data[:, j] for j, name in enumerate(names)}
 

@@ -6,13 +6,14 @@ estimation errors of a trajectory kernel's run, compares the direct one-step
 difference against the closed-form decrease expressions, and checks the
 gamma-largeness sufficiency bound for the distributed scheme.  It is a
 post-pass: the gain sequence of both recursions depends on the regressors
-only, so the kernel's alphas and per-block gain scalars are all it needs
-besides the errors.  W runs kernels.CHUNK steps at a time on packed per-node
-information blocks, in the kernels' layout; every other column is one array
-expression over all steps.  The report is a record array with one row per
-step, and a gamma bound that does not apply or is degenerate is inf there
-and in the CSV.  The single-step functions below, written on the gain
-matrices, are the reference forms the post-pass is tested against.
+only, and check_trajectory takes the errors, regressors, alphas and
+per-block gain scalars of a run of any length N >= 0 as they are.  W runs
+kernels.CHUNK steps at a time on packed per-node information blocks, in the
+kernels' layout; every other column is one array expression over all
+steps.  The report is a record array with one row per step, and a gamma
+bound that does not apply or is degenerate is inf there and in the CSV.
+The single-step functions below, written on the gain matrices, are the
+reference forms the post-pass is tested against.
 """
 from __future__ import annotations
 
@@ -107,27 +108,6 @@ def is_orthogonal(phi, theta_err) -> bool:
     return abs(float(phi @ err)) <= ORTHOGONAL_TOL * scale
 
 
-@dataclass(frozen=True)
-class RunTrace:
-    """Estimation errors 0..N of one run and what drove each transition.
-
-    Block i spans offsets[i]:offsets[i+1] and adds weights[i] * phi_i phi_i'
-    to the information matrix at every step; the central recursion is the
-    one-block case with weight 1/gamma^2.  gains holds the per-block gain
-    scalars phi_i' Sigma_i phi_i of every step and is needed in distributed
-    mode only.
-    """
-
-    errors: np.ndarray  # (N+1, n) estimate minus true parameters
-    phis: np.ndarray  # (N, n)
-    alphas: np.ndarray  # (N,)
-    noise_var: float
-    init_c: float  # state 0's information matrix is I / init_c
-    weights: np.ndarray  # (m,)
-    offsets: np.ndarray  # (m+1,)
-    gains: np.ndarray | None = None  # (N, m)
-
-
 #: per monitor mode, each CSV header paired with its record field
 MONITOR_COLUMNS = {
     "central": (
@@ -192,8 +172,16 @@ def _pow2(x) -> np.ndarray:
     return np.float_power(x, 2)
 
 
-def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
+def check_trajectory(mode: str, errors, phis, alphas, noise_var: float, init_c: float,
+                     weights, offsets, gains=None) -> MonitorReport:
     """Evaluate the per-step Lyapunov columns along a recorded noise-free run.
+
+    errors (N+1, n) are estimate minus truth at states 0..N, whose state 0
+    has information I / init_c; phis (N, n) and alphas (N,) drove the
+    steps.  Block i spans offsets[i]:offsets[i+1] and adds weights[i] phi_i
+    phi_i' to the information at every step (central: one block, weight
+    1/gamma^2).  gains (N, m), the per-block phi_i' Sigma_i phi_i, is read in
+    distributed mode only.  At N = 0 the report has no rows.
 
     No gain matrix is needed: since alpha phi'Sigma phi = 1 - alpha sigma^2,
     every closed form follows from alpha, phi, the error and the per-block
@@ -202,27 +190,24 @@ def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
     """
     if mode not in MONITOR_COLUMNS:
         raise ParameterError(f"unknown monitor mode {mode!r}")
-    n_steps = trace.phis.shape[0]
-    if n_steps < 1:
-        raise ParameterError("trace must contain at least two states")
-    errs, phis, alphas = trace.errors, trace.phis, trace.alphas
-    real, idx = packed_layout(trace.offsets)
-    info = np.eye(real.shape[1]) / trace.init_c * np.ones((real.shape[0], 1, 1))
+    n_steps = phis.shape[0]
+    real, idx = packed_layout(offsets)
+    info = np.eye(real.shape[1]) / init_c * np.ones((real.shape[0], 1, 1))
     w = np.empty(n_steps + 1)
-    w[0] = errs[0] @ errs[0] / trace.init_c
+    w[0] = errors[0] @ errors[0] / init_c
     for k in range(0, n_steps, CHUNK):
         # W_{k+j+1} = sum_i e_i' I_i e_i + w_i sum_{l<=j} (phi_{k+l,i}' e_i)^2 at e = e_{k+j+1}
-        e = np.where(real, errs[k + 1:k + 1 + CHUNK, idx], 0.0).transpose(1, 0, 2)
+        e = np.where(real, errors[k + 1:k + 1 + CHUNK, idx], 0.0).transpose(1, 0, 2)
         phi = np.where(real, phis[k:k + CHUNK, idx], 0.0).transpose(1, 0, 2)
         pe = np.triu(np.matmul(phi, e.transpose(0, 2, 1)))
-        quad = (np.matmul(e, info) * e).sum(axis=2) + trace.weights[:, None] * (pe * pe).sum(axis=1)
+        quad = (np.matmul(e, info) * e).sum(axis=2) + weights[:, None] * (pe * pe).sum(axis=1)
         w[k + 1:k + 1 + CHUNK] = quad.sum(axis=0)
-        info += np.matmul(trace.weights[:, None, None] * phi.transpose(0, 2, 1), phi)
-    errs = errs[:-1]
+        info += np.matmul(weights[:, None, None] * phi.transpose(0, 2, 1), phi)
+    errs = errors[:-1]
     proj = _rowdot(errs, phis)
     scale = np.sqrt(_rowdot(phis, phis)) * np.sqrt(_rowdot(errs, errs))
-    a_sig = alphas * trace.noise_var  # = 1 - alpha phi'Sigma phi
-    weight_sum = float(np.sum(trace.weights))  # sum of 1/gamma_i^2, the central weight
+    a_sig = alphas * noise_var  # = 1 - alpha phi'Sigma phi
+    weight_sum = float(np.sum(weights))  # sum of 1/gamma_i^2, the central weight
     cols = {
         "w": w[:-1],
         "delta_w": np.diff(w),
@@ -234,8 +219,8 @@ def check_trajectory(trace: RunTrace, mode: str) -> MonitorReport:
     else:
         odw = -alphas * _pow2(proj) * (1.0 + a_sig)
         # err'F' Phi_B F err with F = I - alpha Sigma_B phi phi', block by block
-        p_blocks = np.add.reduceat(errs * phis, trace.offsets[:-1], axis=1)
-        denom = np.sum((p_blocks - (alphas * proj)[:, None] * trace.gains) ** 2, axis=1)
+        p_blocks = np.add.reduceat(errs * phis, offsets[:-1], axis=1)
+        denom = np.sum((p_blocks - (alphas * proj)[:, None] * gains) ** 2, axis=1)
         applies = (odw < 0) & (denom > DEGENERATE_DENOM_TOL)
         cols["overline_delta_w"] = odw
         cols["gamma_bound"] = np.divide(np.abs(odw), denom, out=np.full(n_steps, np.inf),

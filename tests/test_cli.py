@@ -362,6 +362,17 @@ class TestErrorContract:
         assert main(["run", "--system", str(system), "--samples", "5", flag, value,
                      "--out-prefix", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("flag,value,need", [
+        ("--init-c", "1e-300", "init_c > 0 and 0 < init_c^2 < inf"),
+        ("--sigma", "1e200", "noise_std >= 0 and, unless it is 0, 0 < noise_std^2 < inf"),
+    ], ids=["nonzero-scale", "zero-allowed-scale"])
+    def test_out_of_range_scale_names_its_own_condition(self, tmp_path, capsys, flag, value,
+                                                         need):
+        system = _gen_system(tmp_path)
+        assert main(["run", "--system", str(system), "--samples", "5", flag, value,
+                     "--out-prefix", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.endswith(f" is out of range: need {need}\n")
+
     def test_gain_collapse_in_monitor_exit_2(self, tmp_path, capsys):
         # gamma -> 0 turns each node's update into a projection, so with
         # sigma = 0 the shared gain denominator reaches 0 after max order steps

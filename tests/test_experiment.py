@@ -259,6 +259,19 @@ class TestTrajectoryCsv:
         assert str(info.value) == f"{path}: line 3, column 'err_norm_sq': 'x' is not a number"
 
     @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
+    def test_undecodable_byte_names_its_file_line(self, tmp_path, names):
+        # far past the reader's first decoded chunk, in eps, which a read of
+        # err_norm_sq alone does not parse but must still reject
+        lines = [b"k,err_norm_sq,eps\n"] + [b"%d,1.0,0\n" % k for k in range(3000)]
+        lines[1918] = lines[1918][:-2] + b"\xff\n"  # file line 1919
+        path = tmp_path / "ff.csv"
+        path.write_bytes(b"".join(lines))
+        assert len(b"".join(lines[:1918])) > 16384
+        with pytest.raises(ParameterError) as info:
+            read_trajectory_csv(path, names)
+        assert str(info.value) == f"{path}: line 1919 has byte 0xff, which is not UTF-8"
+
+    @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
     def test_ragged_row_names_line_and_field_counts(self, tmp_path, names):
         # 2 commas over 2 rows of 2 fields: only a per-row count sees the bad rows
         path = tmp_path / "bad.csv"

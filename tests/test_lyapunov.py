@@ -141,7 +141,7 @@ class TestCheckTrajectory:
     def test_start_at_truth_keeps_w_zero(self):
         from misoid.distributed import FusionCenter, NodeState, run_round, stack
         from misoid.fir import RegressorBank, push_inputs
-        from misoid.lyapunov import RunTrace, check_trajectory
+        from misoid.lyapunov import check_trajectory
 
         rng = np.random.default_rng(30)
         orders = [2, 1]
@@ -164,12 +164,10 @@ class TestCheckTrajectory:
             phis.append(bank.stacked())
             alphas.append(tr.down.alpha)
             gains.append([msg.local_gain_scalar for msg in tr.ups])
-        trace = RunTrace(
-            errors=np.array(thetas) - theta_true, phis=np.array(phis),
-            alphas=np.array(alphas), noise_var=0.0, init_c=10.0,
-            weights=1.0 / start.gammas**2, offsets=start.offsets, gains=np.array(gains),
+        rep = check_trajectory(
+            "distributed", np.array(thetas) - theta_true, np.array(phis), np.array(alphas),
+            0.0, 10.0, 1.0 / start.gammas**2, start.offsets, np.array(gains),
         )
-        rep = check_trajectory(trace, "distributed")
         assert all(abs(r.w) < 1e-20 for r in rep.records)
 
     def test_small_gamma_violates_large_gamma_clean(self):
@@ -183,15 +181,19 @@ class TestCheckTrajectory:
         assert counts[100.0] == 0
         assert counts[1.0] > counts[100.0]
 
-    def test_empty_trace_rejected(self):
-        from misoid.lyapunov import RunTrace, check_trajectory
+    @pytest.mark.parametrize("mode, weights, offsets, gains", [
+        ("central", np.ones(1), np.array([0, 3]), None),
+        ("distributed", np.ones(2), np.array([0, 2, 3]), np.zeros((0, 2))),
+    ], ids=["central", "distributed"])
+    def test_zero_steps_give_an_empty_report(self, mode, weights, offsets, gains):
+        from misoid.lyapunov import MONITOR_COLUMNS, check_trajectory
 
-        state = from_scratch_init(2, 1.0)
-        trace = RunTrace(errors=state.theta_hat[None, :] - np.zeros(2),
-                         phis=np.zeros((0, 2)), alphas=np.zeros(0), noise_var=1.0,
-                         init_c=1.0, weights=np.ones(1), offsets=np.array([0, 2]))
-        with pytest.raises(ParameterError):
-            check_trajectory(trace, "central")
+        rep = check_trajectory(mode, np.ones((1, 3)), np.zeros((0, 3)), np.zeros(0), 1.0,
+                               1.0, weights, offsets, gains)
+        assert len(rep.records) == 0
+        assert rep.records.dtype.names == tuple(name for _, name in MONITOR_COLUMNS[mode])
+        assert rep.violations == []
+        assert rep.gamma_implication_ok
 
 
 class TestInvariants:
