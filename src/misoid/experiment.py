@@ -123,12 +123,8 @@ class Trajectory:
     errors: np.ndarray  # (N, n) per-parameter errors
     eps: np.ndarray  # (N,)
     alpha: np.ndarray  # (N,)
+    err_norm_sq: np.ndarray  # (N,) row sums of errors**2
     monitor: MonitorReport | None = None
-    err_norm_sq: np.ndarray | None = None  # (N,) summed from errors when not given
-
-    def __post_init__(self):
-        if self.err_norm_sq is None:
-            object.__setattr__(self, "err_norm_sq", np.sum(self.errors**2, axis=1))
 
     @property
     def samples(self) -> int:
@@ -161,7 +157,7 @@ def _record(mode, system, config, phis, theta_hist, eps, alpha, monitor,
     if monitor:
         report = check_trajectory(mode, errors, phis, alpha, config.noise_std**2, config.init_c,
                                   weights, offsets, gains)
-    return Trajectory(mode, errors[1:], eps, alpha, report, err_norm_sq)
+    return Trajectory(mode, errors[1:], eps, alpha, err_norm_sq, report)
 
 
 def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
@@ -225,7 +221,7 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
     """Final distributed estimates over repeated noise draws, fixed inputs.
 
     The gain sequence depends on the regressors only, so one kernel call
-    runs it once and carries every realization through the estimate pass.
+    computes it once and carries every realization through the estimates.
     """
     inputs, _ = generate_signals(system, config)
     phis = build_regressors(system, inputs)
@@ -269,14 +265,18 @@ def _number(field: str) -> float | None:
         return None
 
 
-def _undecodable(path) -> str | None:
-    """Name path's first byte that is not UTF-8 by its line, counted as text mode does."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return f"{path}: line {lineno} has byte 0x{line[exc.start]:02x}, which is not UTF-8"
+def _check_bytes(path, lineno: int, line: str):
+    """Reject line's first byte that is not UTF-8, naming it and the line.
+
+    Decoding with errors="surrogateescape" keeps such a byte b as the code
+    point U+DC00 + b, in U+DC80..U+DCFF.
+    """
+    if not line.isascii():
+        for char in line:
+            if "\udc80" <= char <= "\udcff":
+                raise ParameterError(
+                    f"{path}: line {lineno} has byte 0x{ord(char) - 0xdc00:02x}, which is not UTF-8"
+                )
 
 
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
@@ -286,41 +286,42 @@ def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
     rule.  An empty line is skipped; every other data line must have the
     header's field count, but a field in a column that is not read is not
     checked to be a number.  The first defect in file order is raised,
-    naming the 1-based file line; a byte that is not UTF-8 is one anywhere.
+    naming the 1-based file line; a byte that is not UTF-8 is one in any
+    column and the first defect of its line.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if header == [""]:
-                raise ParameterError(f"{path}: empty file")
-            index = {name: j for j, name in enumerate(header)}
-            for name in names or ():
-                if name not in index:
-                    raise ParameterError(f"{path} has no column {name!r}")
-            if names is None:
-                names = header
-            cols = [index[name] for name in names]
-            last = max(cols, default=0)
-            rows = []
-            for lineno, line in enumerate(fh, 2):
-                if line == "\n":
-                    continue
-                count = line.count(",") + 1
-                if count != len(header):
-                    raise ParameterError(
-                        f"{path}: line {lineno} has field count {count}, the header {len(header)}"
-                    )
-                fields = line.split(",", last + 1)
-                row = [_number(fields[j]) for j in cols]
-                if None in row:
-                    j = cols[row.index(None)]
-                    field = fields[j].rstrip("\n")
-                    raise ParameterError(
-                        f"{path}: line {lineno}, column {header[j]!r}: {field!r} is not a number"
-                    )
-                rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise ParameterError(_undecodable(path) or f"{path}: {exc}") from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        line = fh.readline()
+        _check_bytes(path, 1, line)
+        header = line.strip().split(",")
+        if header == [""]:
+            raise ParameterError(f"{path}: empty file")
+        index = {name: j for j, name in enumerate(header)}
+        for name in names or ():
+            if name not in index:
+                raise ParameterError(f"{path} has no column {name!r}")
+        if names is None:
+            names = header
+        cols = [index[name] for name in names]
+        last = max(cols, default=0)
+        rows = []
+        for lineno, line in enumerate(fh, 2):
+            _check_bytes(path, lineno, line)
+            if line == "\n":
+                continue
+            count = line.count(",") + 1
+            if count != len(header):
+                raise ParameterError(
+                    f"{path}: line {lineno} has field count {count}, the header {len(header)}"
+                )
+            fields = line.split(",", last + 1)
+            row = [_number(fields[j]) for j in cols]
+            if None in row:
+                j = cols[row.index(None)]
+                field = fields[j].rstrip("\n")
+                raise ParameterError(
+                    f"{path}: line {lineno}, column {header[j]!r}: {field!r} is not a number"
+                )
+            rows.append(row)
     data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     return {name: data[:, j] for j, name in enumerate(names)}
 

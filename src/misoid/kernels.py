@@ -1,46 +1,46 @@
-"""Whole-trajectory recursions in numpy: a gain pass and an estimate pass.
+"""Whole-trajectory recursions in numpy: one loop over chunks of steps.
 
 In both recursions the gain sequence -- the gain matrix Sigma_k, the gain
 vector c_k = Sigma_k phi_k and the scalar alpha_k -- depends on the
 regressors only, never on the outputs: the RLS covariance recursion does
-not see the measurements.  So each kernel first runs the gain pass over the
-regressors and then the estimate pass,
+not see the measurements.  So each chunk of CHUNK steps first advances
+the gains and then the estimates,
 
     eps_k = y_k - theta' phi_k,    theta += alpha_k eps_k c_k,
 
-which carries R output realizations as one (R, n) array.  A Monte Carlo
-sweep over noise draws therefore pays for one gain pass.  A single run's
-estimate history is theta_0 plus the running sum of the steps
+of R output realizations at once, as one (R, n) array.  A Monte Carlo
+sweep over noise draws therefore pays for one gain sequence.  A single
+run's estimate history is theta_0 plus the running sum of the steps
 alpha_k eps_k c_k, which numpy's cumsum adds in the same order as the
-loop, so no per-step history is stored while the pass runs.
+loop, so no per-step history is stored while the loop runs.
 
-There is one gain pass.  Node i updates its own block with its own scalar,
+Node i updates its own gain matrix with its own scalar,
 Sigma_i -= c_i c_i' / (gamma_i^2 + g_i) with g_i = phi_i' Sigma_i phi_i;
-the shared alpha_k = 1 / (sigma^2 + sum_i g_i) enters the estimate pass
-only.  So the pass is m independent covariance recursions, kept as packed
+the shared alpha_k = 1 / (sigma^2 + sum_i g_i) enters the estimates only.
+So the gains are m independent covariance recursions, kept as packed
 per-node blocks (fir.packed_layout): an (m, p, p) array with p the largest
 order; the padding is the identity with zero regressors, so it never changes.
 Every block starts at init_c * I.  The central recursion is its one-block
 case with gamma^2 = 1/info_weight; only that one block is n x n.
-Both passes advance CHUNK steps at a time (block RLS; Haykin, Adaptive
-Filter Theory; Sayed & Kailath, 1994).  For a chunk of regressors Phi of
-one node, U = Sigma Phi' and G = gamma^2 I + Phi U = L L' give the chunk's
-gain vectors c_j = L_jj x_j, with x_j row j of X' = L^-1 U', and the new
-gain matrix Sigma - X X'.  One batched Cholesky factorisation of the
-bordered matrix [[G, U'], [U, Sigma]] yields L and X' for all nodes at
-once.  The estimate pass solves the chunk's unit lower triangular system
-(I + tril(Phi C', -1) diag(alpha)) e = y - Phi theta for the errors of all
-realizations, then adds (alpha e)' C to theta.
+A chunk's gains come from block RLS (Haykin, Adaptive Filter Theory;
+Sayed & Kailath, 1994).  For a chunk of regressors Phi of one node,
+U = Sigma Phi' and G = gamma^2 I + Phi U = L L' give the chunk's gain
+vectors c_j = L_jj x_j, with x_j row j of X' = L^-1 U', and the new gain
+matrix Sigma - X X'.  One batched Cholesky factorisation of the bordered
+matrix [[G, U'], [U, Sigma]] yields L and X' for all nodes at once; when
+it fails, the packed rank-one updates compute the chunk one step at a
+time.  The chunk's errors of all realizations then solve the unit lower
+triangular system (I + tril(Phi C', -1) diag(alpha)) e = y - Phi theta,
+and theta += (alpha e)' C.
 
 Plain, monitored and Monte Carlo runs all go through the two public
 functions; the protocol in ``central`` and ``distributed`` is the
-specification they are tested against.  Both fail like the protocol: they
-raise ``NumericError`` naming the first step where the shared gain
-denominator is not a positive finite number or an estimate, prediction
-error or gain is non-finite.  To name that step, a chunk whose Cholesky
-factorisation fails, or that yields a bad shared denominator, is rerun one
-step at a time with the packed rank-one updates, and an estimate pass that
-ends non-finite is rerun one step at a time.
+specification they are tested against.  Both fail like the protocol, in
+step order: they raise ``NumericError`` naming the first step where the
+shared gain denominator is not a positive finite number or an estimate,
+prediction error or gain is non-finite.  A chunk with such a step is
+rerun from its start one step at a time, gains by the rank-one updates
+and then estimates, so the error names the step the protocol stops at.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import NumericError
 from .fir import packed_layout
 
-#: steps per chunk of the gain and estimate passes
+#: steps per chunk of the kernels' loop
 CHUNK = 16
 
 
@@ -60,11 +60,6 @@ def _bad_denominator(k: int, denom) -> NumericError:
         f"step {k}: alpha denominator sigma^2 + phi' Sigma phi = {float(denom)!r} "
         "is not a positive finite number"
     )
-
-
-def _first_bad_step(theta_hist, eps, alpha):
-    ok = np.isfinite(theta_hist).all(axis=1) & np.isfinite(eps) & np.isfinite(alpha)
-    return None if ok.all() else int(np.argmin(ok))
 
 
 def _non_finite(k: int) -> NumericError:
@@ -126,82 +121,67 @@ def _block_steps(sigma, phi, gamma_sq, noise_var):
     return c, gains, denom, sigma - np.matmul(xt.transpose(0, 2, 1), xt)
 
 
-def _gains(phis, init_c, offsets, gamma_sq, noise_var):
-    """Gain vectors c_k (N, n), alphas (N,) and per-node gains (N, m).
+@np.errstate(all="ignore")
+def _trajectory(phis, ys, theta0, init_c, offsets, gamma_sq, noise_var):
+    """Estimates, errors, alphas (N,) and per-node gains (N, m), chunk by chunk.
 
-    Node i runs its own covariance recursion from init_c * I, CHUNK steps
-    at a time; each chunk's regressors are gathered into the packed layout
-    as the chunk is reached.
+    ys is (N,) for one run or (R, N) for R realizations.  The estimates are
+    the (N, n) history of one run or the (R, n) final estimates of R runs,
+    the errors (N,) or (R, N).  A non-finite value ends in NumericError, so
+    numpy's floating-point warnings would only repeat it.
     """
+    ys = np.asarray(ys, dtype=float)
+    runs = np.atleast_2d(ys)
     n_steps, n = phis.shape
     real, cols = packed_layout(offsets)
     m, p = real.shape
     sigma = np.where(real[:, :, None], init_c, 1.0) * np.eye(p)
+    theta = np.tile(theta0, (runs.shape[0], 1))
     cs = np.empty((n_steps, n))
     alpha = np.empty(n_steps)
     gains = np.empty((n_steps, m))
-    for k in range(0, n_steps, CHUNK):
-        phi = np.where(real, phis[k:k + CHUNK, cols], 0.0).transpose(1, 0, 2)
-        step = _block_steps(sigma, phi, gamma_sq, noise_var)
-        if step is None:
-            step = _rank_one_steps(sigma, phi, gamma_sq, noise_var, k)
-        c, gains[k:k + CHUNK], denom, sigma = step
-        cs[k:k + CHUNK] = c.transpose(1, 0, 2)[:, real]
-        alpha[k:k + CHUNK] = 1.0 / denom
-    return cs, alpha, gains
-
-
-def _history(theta0, cs, alpha, eps, out=None):
-    """Row k: the estimate after step k, theta0 + sum_{j<=k} alpha_j eps_j c_j."""
-    steps = np.multiply(cs, (alpha * eps)[:, None], out=out)
-    steps[:1] += theta0
-    return np.cumsum(steps, axis=0, out=steps)
-
-
-def _estimate_chunks(phis, runs, theta0, cs, alpha, chunk):
-    """Final estimates (R, n) and errors (R, N) of R runs, chunk steps at a time.
-
-    In a chunk, e_j = y_j - theta' phi_j - sum_{l<j} alpha_l e_l c_l' phi_j
-    is a unit lower triangular system in the chunk's errors; one step per
-    chunk is the single-step loop itself.
-    """
-    theta = np.tile(theta0, (runs.shape[0], 1))
     eps = np.empty(runs.shape)
-    for k in range(0, phis.shape[0], chunk):
-        phi, c, a = phis[k:k + chunk], cs[k:k + chunk], alpha[k:k + chunk]
-        lower = np.tril(phi @ c.T, -1) * a
-        np.fill_diagonal(lower, 1.0)
-        e = np.linalg.solve(lower, (runs[:, k:k + chunk] - theta @ phi.T).T).T
-        theta += (e * a) @ c
-        eps[:, k:k + chunk] = e
-    return theta, eps
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _estimate_pass(phis, ys, theta0, cs, alpha):
-    """Run every output realization through the gain sequence.
-
-    ys is (N,) for one run or (R, N) for R realizations.  Returns the
-    (N, n) estimate history (written over cs) and the (N,) errors of one
-    run, or the (R, n) final estimates and the (R, N) errors of R
-    realizations.  A non-finite value ends in NumericError, so numpy's
-    floating-point warnings would only repeat it.
-    """
-    ys = np.asarray(ys, dtype=float)
-    runs = np.atleast_2d(ys)
-    theta, eps = _estimate_chunks(phis, runs, theta0, cs, alpha, CHUNK)
-    # theta += alpha eps c keeps a non-finite value non-finite, so the final
-    # values show it.  A chunk's solve spreads it to the chunk's earlier
-    # steps, so the errors are recomputed one step at a time, and histories
-    # are built to name the earliest step a single run of any realization
-    # would name
-    if not (np.isfinite(theta).all() and np.isfinite(eps).all()):
-        _, eps = _estimate_chunks(phis, runs, theta0, cs, alpha, 1)
-        steps = (_first_bad_step(_history(theta0, cs, alpha, e), e, alpha) for e in eps)
-        raise _non_finite(min(k for k in steps if k is not None))
+    k = rerun_to = 0
+    while k < n_steps:
+        size = 1 if k < rerun_to else CHUNK
+        phi = phis[k:k + size]
+        packed = np.where(real, phi[:, cols], 0.0).transpose(1, 0, 2)
+        try:
+            # one-step reruns use the rank-one updates, the protocol's own
+            # arithmetic; they work in place, so the copy keeps the chunk's start
+            step = None if size == 1 else _block_steps(sigma, packed, gamma_sq, noise_var)
+            c, gains[k:k + size], denom, new_sigma = step or _rank_one_steps(
+                sigma.copy(), packed, gamma_sq, noise_var, k)
+            cs[k:k + size] = c.transpose(1, 0, 2)[:, real]
+            alpha[k:k + size] = 1.0 / denom
+            # the C-ordered rows of cs, not the F-ordered gather: BLAS rounds
+            # products of the two differently
+            c, a = cs[k:k + size], alpha[k:k + size]
+            # e_j = y_j - theta' phi_j - sum_{l<j} a_l e_l c_l' phi_j is a unit
+            # lower triangular system in the chunk's errors
+            lower = np.tril(phi @ c.T, -1) * a
+            np.fill_diagonal(lower, 1.0)
+            e = np.linalg.solve(lower, (runs[:, k:k + size] - theta @ phi.T).T).T
+            new_theta = theta + (e * a) @ c
+            if not (np.isfinite(new_theta).all() and np.isfinite(e).all()):
+                raise _non_finite(k)
+        except (NumericError, np.linalg.LinAlgError):
+            # the gains run ahead of the chunk's estimates, and the solve
+            # spreads a non-finite value to the chunk's earlier steps, so the
+            # chunk is rerun one step at a time from its start; the first
+            # step that fails is the one the protocol stops at
+            if size == 1:
+                raise
+            rerun_to = k + size
+            continue
+        eps[:, k:k + size] = e
+        sigma, theta, k = new_sigma, new_theta, k + size
     if ys.ndim == 1:
-        return _history(theta0, cs, alpha, eps[0], out=cs), eps[0]
-    return theta, eps
+        # theta_0 plus the running sum of the steps a_k e_k c_k, over cs
+        steps = np.multiply(cs, (alpha * eps[0])[:, None], out=cs)
+        steps[:1] += theta0
+        return np.cumsum(steps, axis=0, out=steps), eps[0], alpha, gains
+    return theta, eps, alpha, gains
 
 
 def central_trajectory(phis, ys, theta0, init_c, noise_var, info_weight):
@@ -215,10 +195,8 @@ def central_trajectory(phis, ys, theta0, init_c, noise_var, info_weight):
     prediction errors ((N,) or (R, N)) and the (N,) gains alpha.
     """
     n = phis.shape[1]
-    cs, alpha, _ = _gains(phis, init_c, np.array([0, n]), np.array([1.0 / info_weight]),
-                          noise_var)
-    theta, eps = _estimate_pass(phis, ys, theta0, cs, alpha)
-    return theta, eps, alpha
+    return _trajectory(phis, ys, theta0, init_c, np.array([0, n]),
+                       np.array([1.0 / info_weight]), noise_var)[:3]
 
 
 def distributed_trajectory(phis, ys, theta0, init_c, offsets, gammas, noise_var):
@@ -230,7 +208,5 @@ def distributed_trajectory(phis, ys, theta0, init_c, offsets, gammas, noise_var)
     shared gains alpha (N,) and the per-node upstream gain scalars
     phi_i' Sigma_i phi_i of every round (N, m).
     """
-    gamma_sq = np.asarray(gammas, dtype=float) ** 2
-    cs, alpha, gains = _gains(phis, init_c, offsets, gamma_sq, noise_var)
-    theta, eps = _estimate_pass(phis, ys, theta0, cs, alpha)
-    return theta, eps, alpha, gains
+    return _trajectory(phis, ys, theta0, init_c, offsets,
+                       np.asarray(gammas, dtype=float) ** 2, noise_var)

@@ -213,7 +213,7 @@ def test_distributed_paths_hold_no_n_by_n_array(run):
 class TestTrajectoryCsv:
     def test_empty_trajectory_header_only(self, tmp_path):
         traj = Trajectory(mode="central", errors=np.zeros((0, 3)),
-                          eps=np.zeros(0), alpha=np.zeros(0))
+                          eps=np.zeros(0), alpha=np.zeros(0), err_norm_sq=np.zeros(0))
         path = tmp_path / "t.csv"
         write_trajectory_csv(traj, path)
         lines = path.read_text().splitlines()
@@ -251,12 +251,15 @@ class TestTrajectoryCsv:
 
     @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
     def test_first_defect_in_file_order_is_named(self, tmp_path, names):
-        # the bad number on line 3 comes before the short row on line 4
-        path = tmp_path / "two.csv"
-        path.write_text("k,err_norm_sq\n0,1.0\n1,x\n2\n")
-        with pytest.raises(ParameterError) as info:
-            read_trajectory_csv(path, names)
-        assert str(info.value) == f"{path}: line 3, column 'err_norm_sq': 'x' is not a number"
+        # the bad number on line 3 comes before the short row on line 4, and
+        # before a byte that is not UTF-8 on line 5, in the same decoded chunk
+        for content in [b"k,err_norm_sq\n0,1.0\n1,x\n2\n",
+                        b"k,err_norm_sq\n0,1.0\n1,x\n2,0.5\n3,\377\n"]:
+            path = tmp_path / "two.csv"
+            path.write_bytes(content)
+            with pytest.raises(ParameterError) as info:
+                read_trajectory_csv(path, names)
+            assert str(info.value) == f"{path}: line 3, column 'err_norm_sq': 'x' is not a number"
 
     @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
     def test_undecodable_byte_names_its_file_line(self, tmp_path, names):
@@ -270,6 +273,13 @@ class TestTrajectoryCsv:
         with pytest.raises(ParameterError) as info:
             read_trajectory_csv(path, names)
         assert str(info.value) == f"{path}: line 1919 has byte 0xff, which is not UTF-8"
+
+    def test_undecodable_byte_in_header_names_line_1(self, tmp_path):
+        path = tmp_path / "head.csv"
+        path.write_bytes(b"k,err_\xe9\n0,1.0\n")
+        with pytest.raises(ParameterError) as info:
+            read_trajectory_csv(path)
+        assert str(info.value) == f"{path}: line 1 has byte 0xe9, which is not UTF-8"
 
     @pytest.mark.parametrize("names", [None, ["err_norm_sq"]], ids=["all", "one"])
     def test_ragged_row_names_line_and_field_counts(self, tmp_path, names):

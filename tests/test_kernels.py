@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,30 +153,65 @@ def _check_zero_denominator(runs):
                                        block_offsets(system.orders), np.ones(system.m), 0.0)
 
 
-def test_zero_denominator_inside_a_chunk():
-    # sigma = 0 and inputs zero from step 20 on: with orders (1, 2) every
-    # regressor is zero from step 21, inside the chunk of steps 16..31
+def _zero_inputs_from_step_20():
+    """Orders (1, 2), sigma = 0 and inputs zero from step 20 on: every
+    regressor is zero from step 21, inside the chunk of steps 16..31."""
     rng = np.random.default_rng(11)
     system = MisoSystem((FirModule(rng.normal(size=1)), FirModule(rng.normal(size=2))))
     inputs = rng.normal(size=(40, 2))
     inputs[20:] = 0.0
     phis = build_regressors(system, inputs)
-    ys = outputs_from_regressors(system, phis, np.zeros(40))
+    return system, inputs, phis, outputs_from_regressors(system, phis, np.zeros(40))
+
+
+def _check_kernels_and_protocol_fail_at(step, system, inputs, phis, ys, init_c, gamma, match):
     n = system.n
-    with pytest.raises(NumericError, match="step 21:"):
-        kernels.central_trajectory(phis, ys, np.zeros(n), 100.0, 0.0, 1e-4)
-    with pytest.raises(NumericError, match="step 21:"):
-        kernels.distributed_trajectory(phis, ys, np.zeros(n), 100.0,
-                                       block_offsets(system.orders), np.full(2, 100.0), 0.0)
-    nodes = init_nodes(system.orders, 100.0, 100.0)
-    center = FusionCenter(noise_var=0.0, m=2)
+    with pytest.raises(NumericError, match=f"step {step}:"):
+        kernels.central_trajectory(phis, ys, np.zeros(n), init_c, 0.0, 1.0 / gamma**2)
+    with pytest.raises(NumericError, match=f"step {step}:"):
+        kernels.distributed_trajectory(phis, ys, np.zeros(n), init_c,
+                                       block_offsets(system.orders), np.full(system.m, gamma), 0.0)
+    nodes = init_nodes(system.orders, init_c, gamma)
+    center = FusionCenter(noise_var=0.0, m=system.m)
     bank = RegressorBank.for_system(system)
-    for k in range(21):
+    for k in range(step):
         bank = push_inputs(bank, inputs[k])
         nodes, _ = run_round(nodes, center, bank, ys[k], k=k)
-    bank = push_inputs(bank, inputs[21])
-    with pytest.raises(NumericError, match="alpha denominator"):
-        run_round(nodes, center, bank, ys[21], k=21)
+    bank = push_inputs(bank, inputs[step])
+    with pytest.raises(NumericError, match=match):
+        run_round(nodes, center, bank, ys[step], k=step)
+
+
+def test_zero_denominator_inside_a_chunk():
+    system, inputs, phis, ys = _zero_inputs_from_step_20()
+    _check_kernels_and_protocol_fail_at(21, system, inputs, phis, ys, 100.0, 100.0,
+                                        "alpha denominator")
+
+
+def test_kernels_fail_in_step_order():
+    # a NaN output at step 4, in the first chunk, before the zero gain
+    # denominator of step 21: the protocol stops at step 4, so must the kernels
+    system, inputs, phis, ys = _zero_inputs_from_step_20()
+    ys[4] = np.nan
+    _check_kernels_and_protocol_fail_at(4, system, inputs, phis, ys, 100.0, 100.0,
+                                        "non-finite")
+
+
+@pytest.mark.parametrize("tiny_steps", [20, 1], ids=["all-steps", "step-0"])
+def test_subnormal_denominator_is_a_numeric_error(tiny_steps):
+    # phi_i' Sigma phi_i = 1e-320 is subnormal: alpha = 1 / 2e-320 overflows
+    # to inf, which the protocol's update turns non-finite at step 0.  With
+    # normal inputs after step 0, the chunk's solve meets a singular pivot
+    rng = np.random.default_rng(2)
+    system = MisoSystem((FirModule(rng.normal(size=1)), FirModule(rng.normal(size=1))))
+    inputs = np.random.default_rng(0).normal(size=(20, 2))
+    inputs[:tiny_steps] = 1e-160
+    phis = build_regressors(system, inputs)
+    ys = outputs_from_regressors(system, phis, np.zeros(20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _check_kernels_and_protocol_fail_at(0, system, inputs, phis, ys, 1.0, 1.0,
+                                            "non-finite")
 
 
 def test_kernels_name_first_non_finite_step():
@@ -185,22 +222,26 @@ def test_kernels_name_first_non_finite_step_over_realizations():
     _check_first_non_finite_step(runs=3)
 
 
+# (samples, the bad step of each bad realization): inside the first chunk,
+# and in later chunks, where the earlier bad step is the later realization's
+NON_FINITE_CASES = {None: [(10, [4]), (40, [17])], 3: [(10, [4, 7]), (40, [35, 20])]}
+
+
 def _check_first_non_finite_step(runs):
-    cfg, system, phis, ys = _reference_setup(samples=10)
-    n = system.n
-    if runs is None:
-        ys = ys.copy()
-        ys[4] = np.nan
-    else:
-        # realization 1 goes bad at step 4 and realization 2 at step 7; the earlier is named
-        ys = np.tile(ys, (runs, 1))
-        ys[1, 4] = np.nan
-        ys[2, 7] = np.inf
-    with pytest.raises(NumericError, match="step 4"):
-        kernels.central_trajectory(phis, ys, np.zeros(n), 1.0, 0.01, 1e-4)
-    with pytest.raises(NumericError, match="step 4"):
-        kernels.distributed_trajectory(phis, ys, np.zeros(n), 1.0,
-                                       block_offsets(system.orders), np.full(system.m, 100.0), 0.01)
+    for samples, bad in NON_FINITE_CASES[runs]:
+        cfg, system, phis, ys = _reference_setup(samples=samples)
+        n = system.n
+        ys = ys.copy() if runs is None else np.tile(ys, (runs, 1))
+        for r, (k, value) in enumerate(zip(bad, [np.nan, np.inf])):
+            if runs is None:
+                ys[k] = value
+            else:
+                ys[r + 1, k] = value
+        with pytest.raises(NumericError, match=f"step {min(bad)}:"):
+            kernels.central_trajectory(phis, ys, np.zeros(n), 1.0, 0.01, 1e-4)
+        with pytest.raises(NumericError, match=f"step {min(bad)}:"):
+            kernels.distributed_trajectory(phis, ys, np.zeros(n), 1.0, block_offsets(system.orders),
+                                           np.full(system.m, 100.0), 0.01)
 
 
 def test_realizations_match_single_runs():
