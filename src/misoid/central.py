@@ -40,10 +40,10 @@ def from_scratch_init(n: int, c: float, noise_var: float = 1.0, mode: str = "sig
     """Zero estimate with gain c*I (and information (1/c)*I)."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if c <= 0:
-        raise ParameterError("initial gain scale c must be > 0")
-    if noise_var < 0:
-        raise ParameterError("noise_var must be >= 0")
+    if not 0 < c < np.inf:
+        raise ParameterError("initial gain scale c must be finite and > 0")
+    if not 0 <= noise_var < np.inf:
+        raise ParameterError("noise_var must be finite and >= 0")
     return CentralState(
         theta_hat=np.zeros(n),
         sigma_mat=c * np.eye(n),
@@ -136,7 +136,7 @@ def rls_update_gamma(state: CentralState, phi, y: float, gamma: float) -> Centra
     The estimate update keeps the sigma^2 term in its gain; only the
     information recursion swaps 1/sigma^2 for 1/gamma^2.
     """
-    if gamma <= 0:
-        raise ParameterError("gamma must be > 0")
+    if not 0 < gamma < np.inf:
+        raise ParameterError("gamma must be finite and > 0")
     return _rank_one_step(state, phi, y, 1.0 / gamma**2)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -112,10 +113,71 @@ def cmd_gen_system(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    for traj in _run_trajectories(args, monitor=args.monitor):
-        path = f"{args.out_prefix}-{traj.mode}.csv"
+def _fork_writer(traj, path) -> int | None:
+    """Write traj's CSV in a forked child and return its pid; None when
+    this process cannot fork or could not learn how the child ended, and
+    then it writes the file itself.
+
+    The child writes straight from the arrays it shares with this process,
+    reports a failure through main's mapping and leaves through os._exit,
+    so nothing of the caller (buffered stdout, exit handlers, a test
+    runner's teardown) runs or flushes in it.  OpenBLAS joins its worker
+    threads at fork, so the process forks with one thread.
+    """
+    import signal  # here, not at the top: building its enums costs about 1 ms
+
+    pid = None
+    try:
+        # with SIGCHLD ignored the child is reaped unseen and its exit code lost
+        if signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN:
+            pid = os.fork()
+    except (AttributeError, OSError):  # no SIGCHLD or os.fork on this platform, or fork() failed
+        pass
+    if pid is None:
         write_trajectory_csv(traj, path)
+    elif pid == 0:
+        code = 1
+        try:
+            code = _guarded(write_trajectory_csv, traj, path) or EXIT_OK
+        except BaseException:  # ends the child as it would end a process: traceback, exit 1
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap(pid, path):
+    """Wait for the child writing path, if any: None when it succeeded,
+    the exit code of a failure it has printed, or an OSError when a signal
+    ended it."""
+    if pid is None:
+        return None
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        return OSError(f"the writer of {path} was ended by signal {-code}")
+    return code or None
+
+
+def cmd_run(args) -> int:
+    trajs = _run_trajectories(args, monitor=args.monitor)
+    paths = [f"{args.out_prefix}-{traj.mode}.csv" for traj in trajs]
+    # every file but the last is written by a forked child while this
+    # process writes the last; then the files are reported in mode order,
+    # up to the first that failed, whose error alone is printed
+    pids, error = [], None
+    try:
+        for traj, path in zip(trajs[:-1], paths):
+            pids.append(_fork_writer(traj, path))
+        write_trajectory_csv(trajs[-1], paths[-1])
+    except Exception as exc:
+        error = exc
+    finally:
+        outcomes = [_reap(pid, path) for pid, path in zip(pids, paths)]
+    for traj, path, outcome in zip(trajs, paths, outcomes + [error]):
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome:
+            return outcome  # the child has printed its error
         print(f"info: wrote {path}")
         if traj.samples:
             print(f"result: {traj.mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}")
@@ -176,11 +238,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    return _guarded(_COMMANDS[args.command], args)
+
+
+def _guarded(fn, *args):
+    """fn(*args), or the exit code of the error it raised, printed as one
+    ``error:`` line."""
     try:
         # every non-finite value meets an explicit check that exits 2, so
         # numpy's floating-point warnings would only repeat it
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args)
+            return fn(*args)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -27,8 +27,8 @@ class NodeState:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ParameterError(f"node {self.index}: gamma must be > 0")
+        if not 0 < self.gamma < np.inf:
+            raise ParameterError(f"node {self.index}: gamma must be finite and > 0")
 
     @property
     def order(self) -> int:
@@ -45,8 +45,8 @@ class FusionCenter:
     def __post_init__(self):
         if self.m < 1:
             raise ParameterError("fusion center needs m >= 1 nodes")
-        if self.noise_var < 0:
-            raise ParameterError("noise_var must be >= 0")
+        if not 0 <= self.noise_var < np.inf:
+            raise ParameterError("noise_var must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ class BlockState:
 
 def init_nodes(orders, c: float, gamma: float) -> list[NodeState]:
     """Zero estimates with gain c*I per node and a common constant gamma."""
-    if c <= 0:
-        raise ParameterError("initial gain scale c must be > 0")
+    if not 0 < c < np.inf:
+        raise ParameterError("initial gain scale c must be finite and > 0")
     return [
         NodeState(
             index=i,

@@ -157,6 +157,19 @@ class TestInit:
         with pytest.raises(ParameterError):
             from_scratch_init(0, 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_scale_must_be_finite(self, value):
+        # NaN fails every comparison, so a bare `c <= 0` check lets it through
+        with pytest.raises(ParameterError):
+            from_scratch_init(3, value)
+        with pytest.raises(ParameterError):
+            rls_update_gamma(from_scratch_init(2, 1.0), np.ones(2), 1.0, gamma=value)
+        if value == 0:
+            assert from_scratch_init(3, 1.0, noise_var=value).noise_var == 0.0
+        else:
+            with pytest.raises(ParameterError):
+                from_scratch_init(3, 1.0, noise_var=value)
+
 
 def test_batch_covariance_formula():
     rng = np.random.default_rng(1)

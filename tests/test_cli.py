@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import misoid.cli
 from misoid.cli import main
 from misoid.experiment import (
     ExperimentConfig,
@@ -144,6 +148,140 @@ class TestRun:
         assert code == 0
         header = (tmp_path / "mon-distributed.csv").read_text().splitlines()[0]
         assert "overline_dW" in header
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_argv(system, mode, prefix, samples=17, monitor=False):
+    return ["run", "--system", str(system), "--mode", mode, "--samples", str(samples),
+            "--sigma", "0", "--seed", "1", "--out-prefix", str(prefix)] + (
+        ["--monitor"] if monitor else [])
+
+
+class TestRunWriters:
+    """run --mode both writes the central CSV in a forked child while it
+    writes the distributed one itself."""
+
+    @pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+    @pytest.mark.parametrize("samples", [0, 1, 17, 400])
+    def test_both_matches_single_modes(self, tmp_path, capsys, samples, monitor):
+        system = _gen_system(tmp_path)
+        capsys.readouterr()
+        assert main(_run_argv(system, "both", tmp_path / "both", samples, monitor)) == 0
+        _no_child_left()
+        both_out = capsys.readouterr().out
+        single_out = ""
+        for mode in ("central", "distributed"):
+            assert main(_run_argv(system, mode, tmp_path / "one", samples, monitor)) == 0
+            single_out += capsys.readouterr().out
+            one = (tmp_path / f"one-{mode}.csv").read_bytes()
+            assert (tmp_path / f"both-{mode}.csv").read_bytes() == one
+        assert both_out == single_out.replace(str(tmp_path / "one"), str(tmp_path / "both"))
+
+    @pytest.mark.parametrize("failing", ["nodir", "central", "distributed"])
+    def test_failure_names_first_failing_file_once(self, tmp_path, capfd, failing):
+        # the child reports on stderr, so capture at the file descriptor level
+        system = _gen_system(tmp_path)
+        prefix = tmp_path / "nodir" / "x" if failing == "nodir" else tmp_path / "x"
+        if failing != "nodir":
+            (tmp_path / f"x-{failing}.csv").mkdir()
+        capfd.readouterr()
+        assert main(_run_argv(system, "both", prefix)) == 3
+        _no_child_left()
+        out, err = capfd.readouterr()
+        first = "central" if failing == "nodir" else failing
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: I/O failure: ")
+        assert lines[0].endswith(f"x-{first}.csv'")
+        assert "Traceback" not in err
+        if failing == "distributed":
+            assert out.startswith(f"info: wrote {prefix}-central.csv\n")
+            assert main(_run_argv(system, "central", tmp_path / "one")) == 0
+            one = (tmp_path / "one-central.csv").read_bytes()
+            assert (tmp_path / "x-central.csv").read_bytes() == one
+        else:
+            assert out == ""
+
+    @pytest.mark.parametrize("exc,code,text", [
+        (MemoryError("no room"), 2, "error: out of memory: no room"),
+        (OSError("disk full"), 3, "error: I/O failure: disk full"),
+        (None, 3, "error: I/O failure: the writer of {prefix}-central.csv was ended by signal 9"),
+        (RuntimeError("bug"), 1, "RuntimeError: bug"),
+    ], ids=["memory", "io", "signal", "unexpected"])
+    def test_child_failure_maps_to_exit_code(self, tmp_path, capfd, monkeypatch, exc, code,
+                                              text):
+        parent = os.getpid()
+        write = misoid.cli.write_trajectory_csv
+
+        def failing_write(traj, path):
+            if traj.mode == "central" and os.getpid() != parent:
+                if exc is None:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise exc
+            write(traj, path)
+
+        monkeypatch.setattr(misoid.cli, "write_trajectory_csv", failing_write)
+        system = _gen_system(tmp_path)
+        capfd.readouterr()
+        prefix = tmp_path / "x"
+        assert main(_run_argv(system, "both", prefix)) == code
+        _no_child_left()
+        out, err = capfd.readouterr()
+        lines = err.splitlines()
+        assert out == "" and lines[-1] == text.format(prefix=prefix)
+        # an unexpected error ends the child as it ends a process: traceback, exit 1
+        assert lines[0] == "Traceback (most recent call last):" if code == 1 else len(lines) == 1
+
+    @pytest.mark.parametrize("no_fork", ["missing", "failing", "sigchld-ignored"])
+    def test_without_fork_the_files_are_written_here(self, tmp_path, capsys, monkeypatch,
+                                                     request, no_fork):
+        system = _gen_system(tmp_path)
+        assert main(_run_argv(system, "both", tmp_path / "forked")) == 0
+        if no_fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        elif no_fork == "failing":
+            def fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", fork)
+        else:
+            # a child would be reaped unseen, and its exit code lost
+            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
+        capsys.readouterr()
+        assert main(_run_argv(system, "both", tmp_path / "here")) == 0
+        assert capsys.readouterr().out.count("info: wrote") == 2
+        for mode in ("central", "distributed"):
+            forked = (tmp_path / f"forked-{mode}.csv").read_bytes()
+            assert (tmp_path / f"here-{mode}.csv").read_bytes() == forked
+        (tmp_path / "nodir-central.csv").mkdir()
+        assert main(_run_argv(system, "both", tmp_path / "nodir")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+    def test_no_warning(self, tmp_path):
+        # Python 3.12 warns when a process with threads forks
+        system = _gen_system(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(_run_argv(system, "both", tmp_path / "x", samples=400)) == 0
+
+    def test_child_flushes_nothing_of_the_caller(self, tmp_path):
+        # stdout to a pipe is block-buffered: a child that flushed it on
+        # exit would repeat the caller's pending output
+        system = _gen_system(tmp_path)
+        code = ("import sys; from misoid.cli import main; print('pending'); "
+                f"sys.exit(main({_run_argv(system, 'both', tmp_path / 'x')!r}))")
+        src = os.path.dirname(os.path.dirname(misoid.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=False)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.count("pending") == 1
+        assert proc.stdout.count("info: wrote") == 2
 
 
 def test_system_file_with_long_module_runs(tmp_path):

@@ -267,3 +267,19 @@ def test_init_nodes_validation():
         init_nodes([1, 2], 0.0, 100.0)
     with pytest.raises(ParameterError):
         init_nodes([1], 1.0, -1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+def test_scale_must_be_finite(value):
+    # NaN fails every comparison, so a bare `gamma <= 0` check lets it through
+    with pytest.raises(ParameterError):
+        init_nodes([1, 2], value, 100.0)
+    with pytest.raises(ParameterError):
+        init_nodes([1, 2], 1.0, value)
+    with pytest.raises(ParameterError):
+        NodeState(0, np.zeros(1), np.eye(1), np.eye(1), value)
+    if value == 0:
+        assert FusionCenter(value, 2).noise_var == 0.0
+    else:
+        with pytest.raises(ParameterError):
+            FusionCenter(value, 2)
