@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, SingularMatrixError
+from .errors import DimensionError, NumericError, ParameterError, SingularMatrixError, check_scale
 
 #: condition number above which normal equations are treated as singular
 COND_LIMIT = 1e12
@@ -40,8 +40,7 @@ def from_scratch_init(n: int, c: float, noise_var: float = 1.0, mode: str = "sig
     """Zero estimate with gain c*I (and information (1/c)*I)."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if not 0 < c < np.inf:
-        raise ParameterError("initial gain scale c must be finite and > 0")
+    check_scale("c", c)
     if not 0 <= noise_var < np.inf:
         raise ParameterError("noise_var must be finite and >= 0")
     return CentralState(
@@ -136,7 +135,6 @@ def rls_update_gamma(state: CentralState, phi, y: float, gamma: float) -> Centra
     The estimate update keeps the sigma^2 term in its gain; only the
     information recursion swaps 1/sigma^2 for 1/gamma^2.
     """
-    if not 0 < gamma < np.inf:
-        raise ParameterError("gamma must be finite and > 0")
+    check_scale("gamma", gamma)
     return _rank_one_step(state, phi, y, 1.0 / gamma**2)
 

@@ -3,7 +3,8 @@
 Subcommands: gen-system, run, monitor, compare.  Exit codes: 0 success,
 1 usage error, 2 runtime/numeric error or an array that cannot be
 allocated, 3 I/O error.  All machine-readable stdout lines are prefixed
-``info:`` or ``result:``.
+``info:`` or ``result:``.  Each command imports what it needs when it runs, so
+``compare``, which reads its floats through ``csvcolumns``, loads no numpy.
 """
 from __future__ import annotations
 
@@ -12,19 +13,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
+from .csvcolumns import first_crossing, read_columns
 from .errors import MisoidError, ParameterError
-from .experiment import (
-    ExperimentConfig,
-    first_crossing,
-    random_system,
-    read_trajectory_csv,
-    run_experiment,
-    write_trajectory_csv,
-)
-from .fir import load_system, save_system
-from .lyapunov import write_monitor_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,10 +70,14 @@ def _add_run_flags(sub, sigma: float):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _config_for(args) -> ExperimentConfig:
+def _run_trajectories(args, monitor: bool):
+    """Run the configured estimators on the system file."""
+    from .experiment import ExperimentConfig, run_experiment
+    from .fir import load_system
+
     # m and order_range only shape random_system; a system file's own
     # module orders are not bounded by them
-    return ExperimentConfig(
+    config = ExperimentConfig(
         seed=args.seed,
         noise_std=args.sigma,
         gamma=args.gamma,
@@ -91,15 +85,14 @@ def _config_for(args) -> ExperimentConfig:
         samples=args.samples,
         mode=args.mode,
     )
-
-
-def _run_trajectories(args, monitor: bool):
-    """Run the configured estimators on the system file."""
-    result = run_experiment(_config_for(args), load_system(args.system), monitor=monitor)
+    result = run_experiment(config, load_system(args.system), monitor=monitor)
     return [traj for traj in (result.central, result.distributed) if traj is not None]
 
 
 def cmd_gen_system(args) -> int:
+    from .experiment import ExperimentConfig, random_system
+    from .fir import save_system
+
     config = ExperimentConfig(
         seed=args.seed,
         m=args.modules,
@@ -125,6 +118,8 @@ def _fork_writer(traj, path) -> int | None:
     threads at fork, so the process forks with one thread.
     """
     import signal  # here, not at the top: building its enums costs about 1 ms
+
+    from .experiment import write_trajectory_csv
 
     pid = None
     try:
@@ -159,6 +154,8 @@ def _reap(pid, path):
 
 
 def cmd_run(args) -> int:
+    from .experiment import write_trajectory_csv
+
     trajs = _run_trajectories(args, monitor=args.monitor)
     paths = [f"{args.out_prefix}-{traj.mode}.csv" for traj in trajs]
     # every file but the last is written by a forked child while this
@@ -185,6 +182,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    from .lyapunov import write_monitor_csv
+
     if args.mode == "both":
         print("error: monitor needs --mode central or distributed", file=sys.stderr)
         return EXIT_USAGE
@@ -212,7 +211,7 @@ def cmd_compare(args) -> int:
         )
     results = []
     for label, path in (("a", args.a), ("b", args.b)):
-        values = read_trajectory_csv(path, [args.metric])[args.metric]
+        values = read_columns(path, [args.metric])[args.metric]
         crossing = first_crossing(values, args.threshold_frac, args.metric)
         results.append(crossing)
         shown = crossing if crossing is not None else "none"
@@ -245,6 +244,10 @@ def _guarded(fn, *args):
     """fn(*args), or the exit code of the error it raised, printed as one
     ``error:`` line."""
     try:
+        if fn is cmd_compare:  # it reads plain floats: no numpy to load or quieten
+            return fn(*args)
+        import numpy as np
+
         # every non-finite value meets an explicit check that exits 2, so
         # numpy's floating-point warnings would only repeat it
         with np.errstate(all="ignore"):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, ProtocolError
+from .errors import DimensionError, NumericError, ParameterError, ProtocolError, check_scale
 from .fir import RegressorBank, block_offsets
 
 
@@ -27,8 +27,7 @@ class NodeState:
     gamma: float
 
     def __post_init__(self):
-        if not 0 < self.gamma < np.inf:
-            raise ParameterError(f"node {self.index}: gamma must be finite and > 0")
+        check_scale(f"gamma[{self.index}]", self.gamma)
 
     @property
     def order(self) -> int:
@@ -117,8 +116,7 @@ class BlockState:
 
 def init_nodes(orders, c: float, gamma: float) -> list[NodeState]:
     """Zero estimates with gain c*I per node and a common constant gamma."""
-    if not 0 < c < np.inf:
-        raise ParameterError("initial gain scale c must be finite and > 0")
+    check_scale("c", c)
     return [
         NodeState(
             index=i,

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all misoid modules."""
+"""Exception hierarchy shared by all misoid modules, and the scale rule."""
+import math
 
 
 class MisoidError(Exception):
@@ -23,3 +24,15 @@ class NumericError(MisoidError):
 
 class ProtocolError(MisoidError):
     """A fusion round received a malformed set of node messages."""
+
+
+def check_scale(name: str, value: float, zero_ok: bool = False):
+    """Reject NaN, infinities, negatives and values whose square is 0 or inf.
+
+    gamma^2 and sigma^2 enter the recursions, and c and its reciprocal are
+    the initial gain and information, so each scale keeps its square a
+    positive finite float; only noise_std may be exactly 0.
+    """
+    if not ((zero_ok and value == 0) or (value > 0 and 0 < float(value) * float(value) < math.inf)):
+        need = f"{name} >= 0 and, unless it is 0," if zero_ok else f"{name} > 0 and"
+        raise ParameterError(f"{name}={value!r} is out of range: need {need} 0 < {name}^2 < inf")

@@ -7,13 +7,12 @@ one experiment always consume the identical signal realization.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import DimensionError, NumericError, ParameterError
+from . import csvcolumns, kernels
+from .errors import DimensionError, NumericError, ParameterError, check_scale
 from .fir import FirModule, MisoSystem, block_offsets
 from .lyapunov import MonitorReport, check_trajectory, write_csv_rows
 
@@ -22,18 +21,6 @@ _STREAM_SYSTEM = 0
 _STREAM_INPUTS = 1
 _STREAM_NOISE = 2
 _STREAM_MC_NOISE = 3
-
-
-def _check_scale(name: str, value: float, zero_ok: bool = False):
-    """Reject NaN, infinities, negatives and values whose square is 0 or inf.
-
-    gamma^2 and sigma^2 enter the recursions, and c and its reciprocal are
-    the initial gain and information, so each scale keeps its square a
-    positive finite float; only noise_std may be exactly 0.
-    """
-    if not ((zero_ok and value == 0) or (value > 0 and 0 < value * value < math.inf)):
-        need = f"{name} >= 0 and, unless it is 0," if zero_ok else f"{name} > 0 and"
-        raise ParameterError(f"{name}={value!r} is out of range: need {need} 0 < {name}^2 < inf")
 
 
 @dataclass(frozen=True)
@@ -58,7 +45,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
         for name in ("param_std", "gamma", "init_c", "noise_std"):
-            _check_scale(name, getattr(self, name), zero_ok=name == "noise_std")
+            check_scale(name, getattr(self, name), zero_ok=name == "noise_std")
         if self.samples < 0 or self.monte_carlo_runs < 0:
             raise ParameterError("samples and monte_carlo_runs must be >= 0")
         if self.mode not in ("central", "distributed", "both"):
@@ -250,96 +237,13 @@ def write_trajectory_csv(trajectory: Trajectory, path):
     write_csv_rows(path, header, columns)
 
 
-def _number(field: str) -> float | None:
-    """field as a float, or None when it is not a number.
-
-    The one number rule of trajectory CSVs: Python's float syntax,
-    surrounding whitespace included, but ASCII only and without
-    underscores.
-    """
-    if not field.isascii() or "_" in field:
-        return None
-    try:
-        return float(field)
-    except ValueError:
-        return None
-
-
-def _check_bytes(path, lineno: int, line: str):
-    """Reject line's first byte that is not UTF-8, naming it and the line.
-
-    Decoding with errors="surrogateescape" keeps such a byte b as the code
-    point U+DC00 + b, in U+DC80..U+DCFF.
-    """
-    if not line.isascii():
-        for char in line:
-            if "\udc80" <= char <= "\udcff":
-                raise ParameterError(
-                    f"{path}: line {lineno} has byte 0x{ord(char) - 0xdc00:02x}, which is not UTF-8"
-                )
-
-
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into named float columns, in one pass.
-
-    Only the columns in names (all when None) are parsed, by _number's
-    rule.  An empty line is skipped; every other data line must have the
-    header's field count, but a field in a column that is not read is not
-    checked to be a number.  The first defect in file order is raised,
-    naming the 1-based file line; a byte that is not UTF-8 is one in any
-    column and the first defect of its line.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        line = fh.readline()
-        _check_bytes(path, 1, line)
-        header = line.strip().split(",")
-        if header == [""]:
-            raise ParameterError(f"{path}: empty file")
-        index = {name: j for j, name in enumerate(header)}
-        for name in names or ():
-            if name not in index:
-                raise ParameterError(f"{path} has no column {name!r}")
-        if names is None:
-            names = header
-        cols = [index[name] for name in names]
-        last = max(cols, default=0)
-        rows = []
-        for lineno, line in enumerate(fh, 2):
-            _check_bytes(path, lineno, line)
-            if line == "\n":
-                continue
-            count = line.count(",") + 1
-            if count != len(header):
-                raise ParameterError(
-                    f"{path}: line {lineno} has field count {count}, the header {len(header)}"
-                )
-            fields = line.split(",", last + 1)
-            row = [_number(fields[j]) for j in cols]
-            if None in row:
-                j = cols[row.index(None)]
-                field = fields[j].rstrip("\n")
-                raise ParameterError(
-                    f"{path}: line {lineno}, column {header[j]!r}: {field!r} is not a number"
-                )
-            rows.append(row)
-    data = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    return {name: data[:, j] for j, name in enumerate(names)}
+    """csvcolumns.read_columns(path, names), each column a float array."""
+    return {name: np.array(column, dtype=float)
+            for name, column in csvcolumns.read_columns(path, names).items()}
 
 
 def first_crossing(values, threshold_frac: float, metric: str = "metric"):
-    """First index where the metric drops to threshold_frac times its start.
-
-    The crossing is defined only for a positive finite start; any other
-    start raises ParameterError naming the metric.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return None
-    if not 0 < values[0] < math.inf:
-        raise ParameterError(
-            f"{metric} starts at {float(values[0])!r}: "
-            "a first crossing needs a positive finite start"
-        )
-    limit = threshold_frac * values[0]
-    hits = np.nonzero(values <= limit)[0]
-    return int(hits[0]) if hits.size else None
+    """csvcolumns.first_crossing over any 1-D float array-like."""
+    return csvcolumns.first_crossing(np.asarray(values, dtype=float).tolist(), threshold_frac,
+                                     metric)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,16 @@ class TestInit:
         else:
             with pytest.raises(ParameterError):
                 from_scratch_init(3, 1.0, noise_var=value)
+
+    @pytest.mark.parametrize("value", [1e-320, 1e-200, 1e200])
+    def test_scale_square_must_be_positive_finite(self, value):
+        # 1/gamma^2 and 1/c would divide by zero or overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"\^2 < inf"):
+                from_scratch_init(2, value)
+            with pytest.raises(ParameterError, match=r"gamma=.*\^2 < inf"):
+                rls_update_gamma(from_scratch_init(2, 1.0), np.ones(2), 1.0, gamma=value)
 
 
 def test_batch_covariance_formula():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import misoid.cli
+import misoid.experiment
 from misoid.cli import main
 from misoid.experiment import (
     ExperimentConfig,
@@ -26,6 +26,15 @@ from misoid.experiment import (
 )
 from misoid.fir import load_system
 from misoid.lyapunov import MONITOR_COLUMNS
+
+
+def _python(*args):
+    """A fresh interpreter run with args, importing misoid from this source tree."""
+    src = os.path.dirname(os.path.dirname(misoid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          check=False)
 
 
 def _gen_system(tmp_path, name="sys.json", modules=2, max_order=2, seed=0):
@@ -214,7 +223,7 @@ class TestRunWriters:
     def test_child_failure_maps_to_exit_code(self, tmp_path, capfd, monkeypatch, exc, code,
                                               text):
         parent = os.getpid()
-        write = misoid.cli.write_trajectory_csv
+        write = misoid.experiment.write_trajectory_csv
 
         def failing_write(traj, path):
             if traj.mode == "central" and os.getpid() != parent:
@@ -223,7 +232,8 @@ class TestRunWriters:
                 raise exc
             write(traj, path)
 
-        monkeypatch.setattr(misoid.cli, "write_trajectory_csv", failing_write)
+        # cli looks the writer up in experiment each time it runs
+        monkeypatch.setattr(misoid.experiment, "write_trajectory_csv", failing_write)
         system = _gen_system(tmp_path)
         capfd.readouterr()
         prefix = tmp_path / "x"
@@ -274,11 +284,7 @@ class TestRunWriters:
         system = _gen_system(tmp_path)
         code = ("import sys; from misoid.cli import main; print('pending'); "
                 f"sys.exit(main({_run_argv(system, 'both', tmp_path / 'x')!r}))")
-        src = os.path.dirname(os.path.dirname(misoid.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=False)
+        proc = _python("-c", code)
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.count("pending") == 1
         assert proc.stdout.count("info: wrote") == 2
@@ -437,6 +443,21 @@ class TestCompare:
         else:
             assert captured.out.count("first_crossing=1") == 2
 
+    @pytest.mark.parametrize("second", ["distributed", "ragged"])
+    def test_runs_without_numpy(self, tmp_path, capsys, second):
+        a, b = self._make_run(tmp_path)
+        if second == "ragged":
+            b.write_text("k,err_norm_sq\n0,1.0,2\n")
+        argv = ["compare", "--a", str(a), "--b", str(b)]
+        capsys.readouterr()
+        code = main(argv)
+        expected = capsys.readouterr()
+        proc = _python("-c", "import sys; from misoid.cli import main; code = main(%r); "
+                             "print('numpy' in sys.modules, file=sys.stderr); "
+                             "sys.exit(code)" % argv)
+        assert (proc.returncode, proc.stdout) == (code, expected.out)
+        assert proc.stderr == expected.err + "False\n"
+
     def test_unread_column_is_not_parsed(self, tmp_path, capsys):
         # a full read rejects the dirty file (test_malformed_csv_names_the_file)
         clean = tmp_path / "clean.csv"
@@ -472,6 +493,16 @@ class TestCompare:
 
 class TestErrorContract:
     """Malformed files and flags end in a documented exit code, never a traceback."""
+
+    def test_overflow_in_a_fresh_process_prints_one_line(self, tmp_path):
+        # numpy loads only once the command runs, and its overflow warning
+        # would repeat the error line
+        path = tmp_path / "ovf.json"
+        path.write_text('{"modules": [[1.7e308], [1.7e308]]}')
+        proc = _python("-m", "misoid.cli", "run", "--system", str(path), "--mode", "both",
+                       "--samples", "20", "--out-prefix", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("content", [
         "not json",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,15 @@ def test_scale_must_be_finite(value):
     else:
         with pytest.raises(ParameterError):
             FusionCenter(value, 2)
+
+
+@pytest.mark.parametrize("value", [1e-320, 1e-200, 1e200])
+def test_scale_square_must_be_positive_finite(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"^c=.*\^2 < inf"):
+            init_nodes([1, 2], value, 100.0)
+        with pytest.raises(ParameterError, match=r"^gamma\[0\]=.*\^2 < inf"):
+            init_nodes([1, 2], 1.0, value)
+        with pytest.raises(ParameterError, match=r"^gamma\[3\]="):
+            NodeState(3, np.zeros(1), np.eye(1), np.eye(1), value)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import misoid
 from misoid import (
     DimensionError,
     FirModule,
@@ -13,6 +14,7 @@ from misoid import (
     push_inputs,
     save_system,
 )
+from misoid import errors, fir
 from misoid.experiment import outputs_from_regressors
 
 
@@ -102,3 +104,15 @@ class TestValidationAndFiles:
             raise ValueError(f"{name} is not standard JSON")
 
         assert json.loads(path.read_text(), parse_constant=reject) == {"modules": [[1.0]]}
+
+
+def test_package_exports_are_the_modules_objects():
+    # fir's names are resolved on first use, so that importing misoid loads no numpy
+    for name in misoid.__all__:
+        home = errors if name in vars(errors) else fir
+        assert getattr(misoid, name) is vars(home)[name]
+    star = {}
+    exec("from misoid import *", star)
+    assert all(star[name] is getattr(misoid, name) for name in misoid.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        misoid.no_such_name
