@@ -1,5 +1,9 @@
 """Distributed recursive identification of MISO FIR systems.
 
+The package root exports nothing and imports nothing: every name is
+imported from the module that defines it, so ``import misoid`` loads no
+submodule and no numpy.
+
 Library layout:
 
 - ``fir``: FIR modules, regressor banks, system files
@@ -9,39 +13,6 @@ Library layout:
 - ``experiment``: seeded systems/signals, side-by-side runs, CSV output
 - ``csvcolumns``: trajectory CSV columns and first crossings, without numpy
 - ``kernels``: numpy trajectory loops, the one run path of both estimators
+- ``errors``: the exception classes and the scale rule
 - ``cli``: the ``misoid`` command
 """
-from .errors import (
-    DimensionError,
-    MisoidError,
-    NumericError,
-    ParameterError,
-    ProtocolError,
-    SingularMatrixError,
-)
-
-
-def __getattr__(name):
-    # the names of __all__ not bound above are fir's: fir, and numpy with it,
-    # load on first use, so ``misoid compare``, which needs neither, starts without them
-    if name in __all__:
-        from . import fir
-
-        return getattr(fir, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "DimensionError",
-    "FirModule",
-    "MisoidError",
-    "MisoSystem",
-    "NumericError",
-    "ParameterError",
-    "ProtocolError",
-    "RegressorBank",
-    "SingularMatrixError",
-    "load_system",
-    "push_inputs",
-    "save_system",
-]

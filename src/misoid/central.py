@@ -11,6 +11,7 @@ comparison against the distributed estimator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,8 +107,9 @@ def _rank_one_step(state: CentralState, phi, y, info_weight: float) -> CentralSt
     c = state.sigma_mat @ phi
     s = float(phi @ c)
     denom = state.noise_var + s
-    if denom <= 0:
-        raise NumericError("gain denominator sigma^2 + phi' Sigma phi is not positive")
+    if not 0 < denom < math.inf:
+        raise NumericError(f"alpha denominator sigma^2 + phi' Sigma phi = {denom!r} "
+                           "is not a positive finite number")
     alpha = 1.0 / denom
     eps = float(y) - float(phi @ state.theta_hat)
 

@@ -1,6 +1,7 @@
 """Trajectory CSV columns as float lists, and their first crossing, without numpy.
 
-``misoid compare`` needs only this module; ``experiment`` wraps it for numpy callers.
+``misoid compare`` needs only this module; ``experiment``'s reader wraps
+``read_columns`` for numpy callers.
 """
 from __future__ import annotations
 

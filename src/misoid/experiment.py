@@ -242,8 +242,3 @@ def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
     return {name: np.array(column, dtype=float)
             for name, column in csvcolumns.read_columns(path, names).items()}
 
-
-def first_crossing(values, threshold_frac: float, metric: str = "metric"):
-    """csvcolumns.first_crossing over any 1-D float array-like."""
-    return csvcolumns.first_crossing(np.asarray(values, dtype=float).tolist(), threshold_frac,
-                                     metric)

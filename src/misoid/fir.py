@@ -137,8 +137,12 @@ def load_system(path) -> MisoSystem:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        modules = tuple(FirModule(np.asarray(c, dtype=float)) for c in doc["modules"])
-        return MisoSystem(modules)
+        system = MisoSystem(tuple(FirModule(np.asarray(c, dtype=float)) for c in doc["modules"]))
+        # numpy also converts numeric strings and booleans; the modules are flat lists here
+        bad = next((x for c in doc["modules"] for x in c if type(x) not in (int, float)), None)
+        if bad is not None:
+            raise ParameterError(f"coefficient {bad!r} is not a JSON number")
+        return system
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError,
             ParameterError) as exc:
         raise ParameterError(f"{path}: not a valid system file ({exc!r})") from None

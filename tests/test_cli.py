@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import misoid.experiment
 from misoid.cli import main
+from misoid.csvcolumns import first_crossing, read_columns
 from misoid.experiment import (
     ExperimentConfig,
-    first_crossing,
     generate_signals,
     read_trajectory_csv,
     run_central,
@@ -458,6 +458,12 @@ class TestCompare:
         assert (proc.returncode, proc.stdout) == (code, expected.out)
         assert proc.stderr == expected.err + "False\n"
 
+    def test_package_root_imports_nothing(self):
+        proc = _python("-c", "import sys, misoid; print(sorted(m for m in sys.modules "
+                             "if m.startswith('misoid')), 'numpy' in sys.modules, "
+                             "hasattr(misoid, 'MisoSystem'))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['misoid'] False False\n", "")
+
     def test_unread_column_is_not_parsed(self, tmp_path, capsys):
         # a full read rejects the dirty file (test_malformed_csv_names_the_file)
         clean = tmp_path / "clean.csv"
@@ -486,7 +492,7 @@ class TestCompare:
                      "--threshold-frac", "0.01"]) == 0
         out = capsys.readouterr().out
         for label, path in zip("ab", paths):
-            crossing = first_crossing(read_trajectory_csv(path)[metric], 0.01)
+            crossing = first_crossing(read_columns(path, [metric])[metric], 0.01)
             assert crossing is not None and crossing > 0
             assert f"result: {label}={path} first_crossing={crossing}\n" in out
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from misoid import experiment, kernels
+from misoid.csvcolumns import first_crossing
 from misoid.errors import NumericError, ParameterError
 from misoid.experiment import (
     ExperimentConfig,
     Trajectory,
     build_regressors,
-    first_crossing,
     generate_signals,
     monte_carlo_distributed,
     random_system,

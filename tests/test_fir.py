@@ -3,19 +3,9 @@ import json
 import numpy as np
 import pytest
 
-import misoid
-from misoid import (
-    DimensionError,
-    FirModule,
-    MisoSystem,
-    ParameterError,
-    RegressorBank,
-    load_system,
-    push_inputs,
-    save_system,
-)
-from misoid import errors, fir
+from misoid.errors import DimensionError, ParameterError
 from misoid.experiment import outputs_from_regressors
+from misoid.fir import FirModule, MisoSystem, RegressorBank, load_system, push_inputs, save_system
 
 
 def _system(*coeff_lists):
@@ -93,6 +83,18 @@ class TestValidationAndFiles:
         for a, b in zip(back.modules, system.modules):
             assert a.coeffs.tolist() == b.coeffs.tolist()
 
+    @pytest.mark.parametrize("modules", [[["1.5", "2"]], [[" 7 "]], [[True, False]], [[1.0], ["2"]]])
+    def test_coefficients_must_be_json_numbers(self, tmp_path, modules):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"modules": modules}))
+        with pytest.raises(ParameterError, match=f"{path}: not a valid system file.*JSON number"):
+            load_system(path)
+
+    def test_integer_coefficients_load(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text('{"modules": [[1, -2], [3]]}')
+        assert load_system(path).theta_true().tolist() == [1.0, -2.0, 3.0]
+
     def test_old_noise_std_key_is_ignored_and_not_saved(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text('{"modules": [[1.0]], "noise_std": NaN}')
@@ -105,14 +107,3 @@ class TestValidationAndFiles:
 
         assert json.loads(path.read_text(), parse_constant=reject) == {"modules": [[1.0]]}
 
-
-def test_package_exports_are_the_modules_objects():
-    # fir's names are resolved on first use, so that importing misoid loads no numpy
-    for name in misoid.__all__:
-        home = errors if name in vars(errors) else fir
-        assert getattr(misoid, name) is vars(home)[name]
-    star = {}
-    exec("from misoid import *", star)
-    assert all(star[name] is getattr(misoid, name) for name in misoid.__all__)
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        misoid.no_such_name

@@ -171,12 +171,16 @@ def _check_kernels_and_protocol_fail_at(step, system, inputs, phis, ys, init_c, 
     with pytest.raises(NumericError, match=f"step {step}:"):
         kernels.distributed_trajectory(phis, ys, np.zeros(n), init_c,
                                        block_offsets(system.orders), np.full(system.m, gamma), 0.0)
+    state = from_scratch_init(n, init_c, noise_var=0.0)
     nodes = init_nodes(system.orders, init_c, gamma)
     center = FusionCenter(noise_var=0.0, m=system.m)
     bank = RegressorBank.for_system(system)
     for k in range(step):
+        state = rls_update_gamma(state, phis[k], ys[k], gamma)
         bank = push_inputs(bank, inputs[k])
         nodes, _ = run_round(nodes, center, bank, ys[k], k=k)
+    with pytest.raises(NumericError, match=match):
+        rls_update_gamma(state, phis[step], ys[step], gamma)
     bank = push_inputs(bank, inputs[step])
     with pytest.raises(NumericError, match=match):
         run_round(nodes, center, bank, ys[step], k=step)
@@ -195,6 +199,18 @@ def test_kernels_fail_in_step_order():
     ys[4] = np.nan
     _check_kernels_and_protocol_fail_at(4, system, inputs, phis, ys, 100.0, 100.0,
                                         "non-finite")
+
+
+def test_infinite_denominator_is_a_numeric_error():
+    # phi_0 = (1e160, 1, 0) and c = 100: the first node's gain scalar
+    # overflows to inf, so alpha would be 0; both estimators stop at step 0
+    system = MisoSystem((FirModule(np.array([0.5])), FirModule(np.array([1.0, -0.5]))))
+    inputs = np.array([[1e160, 1.0], [1e160, 1.0], [1.0, 1.0]])
+    phis = build_regressors(system, inputs)
+    ys = outputs_from_regressors(system, phis, np.zeros(3))
+    with np.errstate(all="ignore"):
+        _check_kernels_and_protocol_fail_at(0, system, inputs, phis, ys, 100.0, 100.0,
+                                            "alpha denominator .* = inf is not a positive finite")
 
 
 @pytest.mark.parametrize("tiny_steps", [20, 1], ids=["all-steps", "step-0"])
