@@ -27,12 +27,16 @@ class ProtocolError(MisoidError):
 
 
 def check_scale(name: str, value: float, zero_ok: bool = False):
-    """Reject NaN, infinities, negatives and values whose square is 0 or inf.
+    """Reject NaN, infinities, negatives and values whose square or its
+    reciprocal is not finite.
 
-    gamma^2 and sigma^2 enter the recursions, and c and its reciprocal are
-    the initial gain and information, so each scale keeps its square a
-    positive finite float; only noise_std may be exactly 0.
+    gamma^2 and sigma^2 enter the recursions, 1/gamma^2 is the information
+    weight, and c and its reciprocal are the initial gain and information,
+    so each scale keeps both v^2 and 1/v^2 positive finite floats; only
+    noise_std may be exactly 0.
     """
-    if not ((zero_ok and value == 0) or (value > 0 and 0 < float(value) * float(value) < math.inf)):
+    square = float(value) * float(value) if value > 0 else 0.0
+    if not ((zero_ok and value == 0) or (0 < square < math.inf and 1.0 / square < math.inf)):
         need = f"{name} >= 0 and, unless it is 0," if zero_ok else f"{name} > 0 and"
-        raise ParameterError(f"{name}={value!r} is out of range: need {need} 0 < {name}^2 < inf")
+        raise ParameterError(f"{name}={value!r} is out of range: "
+                             f"need {need} 0 < {name}^2 < inf and 1/{name}^2 < inf")

@@ -123,14 +123,31 @@ class Trajectory:
         return float(self.err_norm_sq[-1])
 
 
-def _record(mode, system, config, phis, theta_hist, eps, alpha, monitor,
-            weights, offsets, gains=None) -> Trajectory:
-    """The run's record, built from its error history e_0..e_N.
+def _run(mode, system: MisoSystem, phis, ys, config: ExperimentConfig, monitor=False):
+    """Run mode's kernel over regressors phis (N, n) and outputs ys.
+
+    Central RLS is the distributed recursion's one-block case: one node
+    holding all n parameters with information weight 1/gamma^2.  The layout
+    chosen here drives the kernel and the Lyapunov monitor alike; each mode
+    keeps its own float path to gamma^2.  ys (N,) gives the run's
+    Trajectory, ys (R, N) the (R, n) final estimates of R realizations.
 
     The kernels reject non-finite estimates, so only the squared error can
     overflow; that raises NumericError naming the first such step, before
     the Lyapunov monitor reads the same history.
     """
+    head = (phis, ys, np.zeros(system.n), config.init_c)
+    if mode == "central":
+        weight = 1.0 / config.gamma**2
+        offsets, weights, gains = np.array([0, system.n]), np.array([weight]), None
+        theta_hist, eps, alpha = kernels.central_trajectory(*head, config.noise_std**2, weight)
+    else:
+        offsets, gammas = block_offsets(system.orders), np.full(system.m, float(config.gamma))
+        weights = 1.0 / gammas**2
+        theta_hist, eps, alpha, gains = kernels.distributed_trajectory(
+            *head, offsets, gammas, config.noise_std**2)
+    if np.ndim(ys) == 2:
+        return theta_hist
     errors = np.vstack([np.zeros(system.n), theta_hist])
     errors -= system.theta_true()
     with np.errstate(over="ignore"):
@@ -149,38 +166,18 @@ def _record(mode, system, config, phis, theta_hist, eps, alpha, monitor,
 
 def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
                 monitor: bool = False) -> Trajectory:
-    """Central recursive LSE over the given signals.
-
-    Uses the gamma-driven information recursion (the comparison variant)
-    through the trajectory kernel; monitoring adds the Lyapunov records
-    computed from the kernel's estimates and gains.
-    """
+    """Central gamma-driven recursive LSE over the given signals."""
     phis = build_regressors(system, inputs)
-    ys = outputs_from_regressors(system, phis, noise)
-    weight = 1.0 / config.gamma**2
-    theta_hist, eps, alpha = kernels.central_trajectory(
-        phis, ys, np.zeros(system.n), config.init_c, config.noise_std**2, weight,
-    )
-    return _record("central", system, config, phis, theta_hist, eps, alpha, monitor,
-                   np.array([weight]), np.array([0, system.n]))
+    return _run("central", system, phis, outputs_from_regressors(system, phis, noise), config,
+                monitor)
 
 
 def run_distributed(system: MisoSystem, inputs, noise, config: ExperimentConfig,
                     monitor: bool = False) -> Trajectory:
-    """Distributed fusion-center estimator over the given signals.
-
-    Runs the fused recursion through the trajectory kernel; monitoring adds
-    the Lyapunov records computed from its estimates and gain scalars.
-    """
+    """Distributed fusion-center estimator over the given signals."""
     phis = build_regressors(system, inputs)
-    ys = outputs_from_regressors(system, phis, noise)
-    offsets = block_offsets(system.orders)
-    gammas = np.full(system.m, float(config.gamma))
-    theta_hist, eps, alpha, gains = kernels.distributed_trajectory(
-        phis, ys, np.zeros(system.n), config.init_c, offsets, gammas, config.noise_std**2,
-    )
-    return _record("distributed", system, config, phis, theta_hist, eps, alpha, monitor,
-                   1.0 / gammas**2, offsets, gains)
+    return _run("distributed", system, phis, outputs_from_regressors(system, phis, noise),
+                config, monitor)
 
 
 @dataclass(frozen=True)
@@ -191,17 +188,16 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig, system: MisoSystem | None = None,
                    monitor: bool = False) -> ExperimentResult:
-    """Generate (or accept) a system, then run the configured estimators."""
+    """Generate (or accept) a system, then run the configured estimators
+    on one draw of signals, regressors and outputs."""
     if system is None:
         system = random_system(config)
     inputs, noise = generate_signals(system, config)
-    central_traj = None
-    dist_traj = None
-    if config.mode in ("central", "both"):
-        central_traj = run_central(system, inputs, noise, config, monitor=monitor)
-    if config.mode in ("distributed", "both"):
-        dist_traj = run_distributed(system, inputs, noise, config, monitor=monitor)
-    return ExperimentResult(central=central_traj, distributed=dist_traj)
+    phis = build_regressors(system, inputs)
+    ys = outputs_from_regressors(system, phis, noise)
+    modes = ("central", "distributed") if config.mode == "both" else (config.mode,)
+    return ExperimentResult(**{mode: _run(mode, system, phis, ys, config, monitor)
+                               for mode in modes})
 
 
 def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.ndarray:
@@ -217,11 +213,7 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
     for r in range(config.monte_carlo_runs):
         rng = np.random.default_rng([config.seed, _STREAM_MC_NOISE, r])
         ys[r] = clean + rng.normal(0.0, config.noise_std, size=config.samples)
-    finals, _, _, _ = kernels.distributed_trajectory(
-        phis, ys, np.zeros(system.n), config.init_c, block_offsets(system.orders),
-        np.full(system.m, float(config.gamma)), config.noise_std**2,
-    )
-    return finals
+    return _run("distributed", system, phis, ys, config)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path):

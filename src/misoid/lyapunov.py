@@ -8,10 +8,11 @@ gamma-largeness sufficiency bound for the distributed scheme.  It is a
 post-pass: the gain sequence of both recursions depends on the regressors
 only, and check_trajectory takes the errors, regressors, alphas and
 per-block gain scalars of a run of any length N >= 0 as they are.  W runs
-kernels.CHUNK steps at a time on packed per-node information blocks, in the
-kernels' layout; every other column is one array expression over all
-steps.  The report is a record array with one row per step, and a gamma
-bound that does not apply or is degenerate is inf there and in the CSV.
+CHUNK steps at a time on packed per-node information blocks, in the
+kernels' layout but with a chunk length of its own; every other column is
+one array expression over all steps.  The report is a record array with
+one row per step, and a gamma bound that does not apply or is degenerate
+is inf there and in the CSV; a W that is not finite is an error.
 The single-step functions below, written on the gain matrices, are the
 reference forms the post-pass is tested against.
 """
@@ -22,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
 from .fir import packed_layout
-from .kernels import CHUNK
+
+#: steps per chunk of W's loop, apart from kernels.CHUNK: W's last bits depend on it
+CHUNK = 16
 
 #: decrease violations beyond this are flagged
 VIOLATION_TOL = 1e-12
@@ -186,7 +189,9 @@ def check_trajectory(mode: str, errors, phis, alphas, noise_var: float, init_c: 
     No gain matrix is needed: since alpha phi'Sigma phi = 1 - alpha sigma^2,
     every closed form follows from alpha, phi, the error and the per-block
     gain scalars, and W from packed per-node information blocks advanced per
-    chunk.  A gamma bound that does not apply or is degenerate is inf.
+    chunk.  A gamma bound that does not apply or is degenerate is inf.  A W
+    that is not finite raises NumericError naming its first step, since no
+    decrease check can read it.
     """
     if mode not in MONITOR_COLUMNS:
         raise ParameterError(f"unknown monitor mode {mode!r}")
@@ -194,15 +199,21 @@ def check_trajectory(mode: str, errors, phis, alphas, noise_var: float, init_c: 
     real, idx = packed_layout(offsets)
     info = np.eye(real.shape[1]) / init_c * np.ones((real.shape[0], 1, 1))
     w = np.empty(n_steps + 1)
-    w[0] = errors[0] @ errors[0] / init_c
-    for k in range(0, n_steps, CHUNK):
-        # W_{k+j+1} = sum_i e_i' I_i e_i + w_i sum_{l<=j} (phi_{k+l,i}' e_i)^2 at e = e_{k+j+1}
-        e = np.where(real, errors[k + 1:k + 1 + CHUNK, idx], 0.0).transpose(1, 0, 2)
-        phi = np.where(real, phis[k:k + CHUNK, idx], 0.0).transpose(1, 0, 2)
-        pe = np.triu(np.matmul(phi, e.transpose(0, 2, 1)))
-        quad = (np.matmul(e, info) * e).sum(axis=2) + weights[:, None] * (pe * pe).sum(axis=1)
-        w[k + 1:k + 1 + CHUNK] = quad.sum(axis=0)
-        info += np.matmul(weights[:, None, None] * phi.transpose(0, 2, 1), phi)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite W is named below
+        w[0] = errors[0] @ errors[0] / init_c
+        for k in range(0, n_steps, CHUNK):
+            # W_{k+j+1} = sum_i e_i' I_i e_i + w_i sum_{l<=j} (phi_{k+l,i}' e_i)^2
+            # at e = e_{k+j+1}
+            e = np.where(real, errors[k + 1:k + 1 + CHUNK, idx], 0.0).transpose(1, 0, 2)
+            phi = np.where(real, phis[k:k + CHUNK, idx], 0.0).transpose(1, 0, 2)
+            pe = np.triu(np.matmul(phi, e.transpose(0, 2, 1)))
+            quad = (np.matmul(e, info) * e).sum(axis=2) + weights[:, None] * (pe * pe).sum(axis=1)
+            w[k + 1:k + 1 + CHUNK] = quad.sum(axis=0)
+            info += np.matmul(weights[:, None, None] * phi.transpose(0, 2, 1), phi)
+    bad = ~np.isfinite(w)
+    if bad.any():
+        raise NumericError(f"{mode} monitor: the Lyapunov value W is not finite at step "
+                           f"{int(np.argmax(bad))}")
     errs = errors[:-1]
     proj = _rowdot(errs, phis)
     scale = np.sqrt(_rowdot(phis, phis)) * np.sqrt(_rowdot(errs, errs))

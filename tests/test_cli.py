@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -538,15 +539,48 @@ class TestErrorContract:
                      "--out-prefix", str(tmp_path / "x")]) == 1
 
     @pytest.mark.parametrize("flag,value,need", [
-        ("--init-c", "1e-300", "init_c > 0 and 0 < init_c^2 < inf"),
-        ("--sigma", "1e200", "noise_std >= 0 and, unless it is 0, 0 < noise_std^2 < inf"),
-    ], ids=["nonzero-scale", "zero-allowed-scale"])
+        ("--init-c", "1e-300", "init_c > 0 and 0 < init_c^2 < inf and 1/init_c^2 < inf"),
+        ("--sigma", "1e200",
+         "noise_std >= 0 and, unless it is 0, 0 < noise_std^2 < inf and 1/noise_std^2 < inf"),
+        # 1e-160^2 = 1e-320 is a positive float, but 1/1e-320 overflows: the
+        # central kernel would run with gamma^2 = 1/(1/gamma^2) = 0
+        ("--gamma", "1e-160", "gamma > 0 and 0 < gamma^2 < inf and 1/gamma^2 < inf"),
+        ("--sigma", "1e-160",
+         "noise_std >= 0 and, unless it is 0, 0 < noise_std^2 < inf and 1/noise_std^2 < inf"),
+    ], ids=["nonzero-scale", "zero-allowed-scale", "gamma-reciprocal-square",
+            "sigma-reciprocal-square"])
     def test_out_of_range_scale_names_its_own_condition(self, tmp_path, capsys, flag, value,
                                                          need):
         system = _gen_system(tmp_path)
         assert main(["run", "--system", str(system), "--samples", "5", flag, value,
                      "--out-prefix", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.endswith(f" is out of range: need {need}\n")
+
+    @pytest.mark.parametrize("command,coeff,flags,step", [
+        (["monitor", "--mode", "distributed", "--out", "{dir}/m.csv"],
+         1e152, ["--gamma", "0.001"], "distributed monitor: .* at step 1"),
+        (["run", "--mode", "both", "--monitor", "--out-prefix", "{dir}/x"],
+         1e152, ["--gamma", "0.001"], "distributed monitor: .* at step 1"),
+        (["monitor", "--mode", "central", "--out", "{dir}/m.csv"],
+         1e150, ["--init-c", "1e-10"], "central monitor: .* at step 0"),
+        (["monitor", "--mode", "distributed", "--out", "{dir}/m.csv"],
+         1e150, ["--init-c", "1e-10"], "distributed monitor: .* at step 0"),
+    ], ids=["monitor-gamma", "run-gamma", "central-init-c", "distributed-init-c"])
+    def test_non_finite_lyapunov_value_exit_2(self, tmp_path, capsys, command, coeff, flags,
+                                              step):
+        # the squared errors stay finite, W = e'Ie does not: the monitor would
+        # certify deltaW = nan, which no violation check flags
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"modules": [[coeff, -coeff], [coeff]]}))
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--system", str(path), "--samples", "20"] + flags)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert re.match(f"^error: {step}$", lines[0])
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_gain_collapse_in_monitor_exit_2(self, tmp_path, capsys):
         # gamma -> 0 turns each node's update into a projection, so with

@@ -145,6 +145,29 @@ class TestRunExperiment:
             run(system, inputs, noise, cfg, monitor=True)
 
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitored"])
+    def test_one_draw_of_signals_per_experiment(self, monkeypatch, monitor, sigma):
+        cfg = ExperimentConfig(seed=9, m=3, order_range=(1, 4), noise_std=sigma, samples=120)
+        system = random_system(cfg)
+        calls = []
+        build = experiment.build_regressors
+        monkeypatch.setattr(experiment, "build_regressors",
+                            lambda *args: calls.append(args) or build(*args))
+        res = run_experiment(cfg, system, monitor=monitor)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        inputs, noise = generate_signals(system, cfg)
+        for got, ref in ((res.central, run_central(system, inputs, noise, cfg, monitor)),
+                         (res.distributed, run_distributed(system, inputs, noise, cfg, monitor))):
+            for name in ("errors", "eps", "alpha", "err_norm_sq"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            if monitor:
+                assert got.monitor.records.tobytes() == ref.monitor.records.tobytes()
+            else:
+                assert got.monitor is None and ref.monitor is None
+
+
 class TestMonteCarlo:
     def test_bias_shrinks_with_runs(self):
         cfg = ExperimentConfig(seed=11, m=2, order_range=(2, 2), noise_std=0.1,
@@ -349,6 +372,13 @@ class TestConfigFile:
             ExperimentConfig(gamma=0.0)
         with pytest.raises(ParameterError):
             ExperimentConfig(mode="parallel")
+
+    @pytest.mark.parametrize("name", ["gamma", "init_c", "noise_std", "param_std"])
+    def test_scale_needs_a_finite_reciprocal_square(self, name):
+        # 1e-160^2 = 1e-320 is a positive float, but 1 / 1e-320 overflows
+        with pytest.raises(ParameterError, match=rf"^{name}=1e-160 .* 1/{name}\^2 < inf$"):
+            ExperimentConfig(**{name: 1e-160})
+        assert getattr(ExperimentConfig(**{name: 1e-150}), name) == 1e-150
 
 
 class TestFirstCrossing:

@@ -196,6 +196,25 @@ class TestCheckTrajectory:
         assert rep.gamma_implication_ok
 
 
+    @pytest.mark.parametrize("mode, weights, offsets, gains", [
+        ("central", np.ones(1), np.array([0, 3]), None),
+        ("distributed", np.ones(2), np.array([0, 2, 3]), np.zeros((20, 2))),
+    ], ids=["central", "distributed"])
+    @pytest.mark.parametrize("init_c, bad_step", [(1.0, 17), (1e-308, 0)])
+    def test_non_finite_w_names_its_first_step(self, mode, weights, offsets, gains, init_c,
+                                               bad_step):
+        from misoid.errors import NumericError
+        from misoid.lyapunov import check_trajectory
+
+        errors = np.ones((21, 3))
+        errors[17:] = 1e200  # e'Ie overflows from state 17, in the second chunk
+        phis = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(NumericError,
+                           match=f"^{mode} monitor: .* W is not finite at step {bad_step}$"):
+            check_trajectory(mode, errors, phis, np.ones(20), 0.0, init_c, weights, offsets,
+                             gains)
+
+
 class TestInvariants:
     def test_lower_bound_property(self):
         # W(err, k) >= lambda_min(info(0)) * ||err||^2 along a run
