@@ -42,11 +42,13 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True)
 
     run = sub.add_parser("run", help="run estimators on a system file")
+    run.add_argument("--mode", choices=["central", "distributed", "both"], default="both")
     _add_run_flags(run, sigma=0.1)
     run.add_argument("--monitor", action="store_true")
     run.add_argument("--out-prefix", required=True)
 
     mon = sub.add_parser("monitor", help="run with monitoring, write monitor CSV")
+    mon.add_argument("--mode", choices=["central", "distributed"], required=True)
     # the decrease checks hold for noise-free runs, so monitor defaults to sigma 0
     _add_run_flags(mon, sigma=0.0)
     mon.add_argument("--out", required=True)
@@ -62,7 +64,6 @@ def _build_parser() -> _Parser:
 
 def _add_run_flags(sub, sigma: float):
     sub.add_argument("--system", required=True)
-    sub.add_argument("--mode", choices=["central", "distributed", "both"], default="both")
     sub.add_argument("--samples", type=int, default=500)
     sub.add_argument("--sigma", type=float, default=sigma)
     sub.add_argument("--gamma", type=float, default=100.0)
@@ -184,9 +185,6 @@ def cmd_run(args) -> int:
 def cmd_monitor(args) -> int:
     from .lyapunov import write_monitor_csv
 
-    if args.mode == "both":
-        print("error: monitor needs --mode central or distributed", file=sys.stderr)
-        return EXIT_USAGE
     (traj,) = _run_trajectories(args, monitor=True)
     if not traj.samples:
         print("error: no samples to monitor", file=sys.stderr)

@@ -38,16 +38,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         lo, hi = self.order_range
-        if not (1 <= lo <= hi <= 64):
-            raise ParameterError("order_range must satisfy 1 <= lo <= hi <= 64")
-        if self.m < 1:
-            raise ParameterError("m must be >= 1")
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
+        if not 1 <= lo <= hi:
+            raise ParameterError(
+                f"order_range={self.order_range!r} is out of range: need 1 <= lo <= hi")
+        for name, least in (("m", 1), ("seed", 0), ("samples", 0), ("monte_carlo_runs", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ParameterError(f"{name}={value!r} is out of range: need {name} >= {least}")
         for name in ("param_std", "gamma", "init_c", "noise_std"):
             check_scale(name, getattr(self, name), zero_ok=name == "noise_std")
-        if self.samples < 0 or self.monte_carlo_runs < 0:
-            raise ParameterError("samples and monte_carlo_runs must be >= 0")
         if self.mode not in ("central", "distributed", "both"):
             raise ParameterError(f"unknown mode {self.mode!r}")
 
@@ -139,13 +138,13 @@ def _run(mode, system: MisoSystem, phis, ys, config: ExperimentConfig, monitor=F
     head = (phis, ys, np.zeros(system.n), config.init_c)
     if mode == "central":
         weight = 1.0 / config.gamma**2
-        offsets, weights, gains = np.array([0, system.n]), np.array([weight]), None
-        theta_hist, eps, alpha = kernels.central_trajectory(*head, config.noise_std**2, weight)
+        offsets, weights = np.array([0, system.n]), np.array([weight])
+        run = kernels.central_trajectory(*head, config.noise_std**2, weight)
     else:
         offsets, gammas = block_offsets(system.orders), np.full(system.m, float(config.gamma))
         weights = 1.0 / gammas**2
-        theta_hist, eps, alpha, gains = kernels.distributed_trajectory(
-            *head, offsets, gammas, config.noise_std**2)
+        run = kernels.distributed_trajectory(*head, offsets, gammas, config.noise_std**2)
+    theta_hist, eps, alpha, gains = run
     if np.ndim(ys) == 2:
         return theta_hist
     errors = np.vstack([np.zeros(system.n), theta_hist])

@@ -192,11 +192,12 @@ def central_trajectory(phis, ys, theta0, init_c, noise_var, info_weight):
     info_weight is 1/sigma^2 for the standard recursion or 1/gamma^2 for
     the gamma-driven variant.  Returns the estimates (the (N, n) per-step
     history of one run, or the (R, n) final estimates of R runs), the
-    prediction errors ((N,) or (R, N)) and the (N,) gains alpha.
+    prediction errors ((N,) or (R, N)), the (N,) gains alpha and the
+    (N, 1) gain scalars phi' Sigma phi of the one block.
     """
     n = phis.shape[1]
     return _trajectory(phis, ys, theta0, init_c, np.array([0, n]),
-                       np.array([1.0 / info_weight]), noise_var)[:3]
+                       np.array([1.0 / info_weight]), noise_var)
 
 
 def distributed_trajectory(phis, ys, theta0, init_c, offsets, gammas, noise_var):

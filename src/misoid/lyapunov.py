@@ -4,10 +4,12 @@ The monitor is an oracle-mode verification instrument: it needs the true
 parameter vector, evaluates the quadratic Lyapunov function along the
 estimation errors of a trajectory kernel's run, compares the direct one-step
 difference against the closed-form decrease expressions, and checks the
-gamma-largeness sufficiency bound for the distributed scheme.  It is a
-post-pass: the gain sequence of both recursions depends on the regressors
-only, and check_trajectory takes the errors, regressors, alphas and
-per-block gain scalars of a run of any length N >= 0 as they are.  W runs
+gamma-largeness sufficiency bound for the distributed scheme.  The central
+gamma-driven RLS is that scheme's one-block case, so both runs get the
+same columns from the same formulas.  It is a post-pass: the gain
+sequence of both recursions depends on the regressors only, and
+check_trajectory takes the errors, regressors, alphas and per-block gain
+scalars of a run of any length N >= 0 as they are.  W runs
 CHUNK steps at a time on packed per-node information blocks, in the
 kernels' layout but with a chunk length of its own; every other column is
 one array expression over all steps.  The report is a record array with
@@ -111,32 +113,23 @@ def is_orthogonal(phi, theta_err) -> bool:
     return abs(float(phi @ err)) <= ORTHOGONAL_TOL * scale
 
 
-#: per monitor mode, each CSV header paired with its record field
-MONITOR_COLUMNS = {
-    "central": (
-        ("W", "w"),
-        ("deltaW", "delta_w"),
-        ("deltaW_closed", "delta_w_closed"),
-        ("orthogonal_flag", "orthogonal_flag"),
-        ("violation_flag", "violation_flag"),
-    ),
-    "distributed": (
-        ("W", "w"),
-        ("deltaW", "delta_w"),
-        ("overline_dW", "overline_delta_w"),
-        ("gamma_bound", "gamma_bound"),
-        ("gamma_sum", "gamma_sum"),
-        ("orthogonal_flag", "orthogonal_flag"),
-        ("violation_flag", "violation_flag"),
-    ),
-}
+#: each CSV header of the monitor paired with its record field
+MONITOR_COLUMNS = (
+    ("W", "w"),
+    ("deltaW", "delta_w"),
+    ("deltaW_closed", "delta_w_closed"),
+    ("overline_dW", "overline_delta_w"),
+    ("gamma_bound", "gamma_bound"),
+    ("gamma_sum", "gamma_sum"),
+    ("orthogonal_flag", "orthogonal_flag"),
+    ("violation_flag", "violation_flag"),
+)
 
 
 @dataclass(frozen=True)
 class MonitorReport:
     """Row k of records is the transition k -> k+1; fields as in MONITOR_COLUMNS."""
 
-    mode: str
     records: np.recarray
 
     @property
@@ -150,15 +143,13 @@ class MonitorReport:
     @property
     def gamma_implication_ok(self) -> bool:
         """Every step where the bound certifies decrease indeed decreased."""
-        if self.mode == "central":
-            return True
         r = self.records
         certified = np.isfinite(r.gamma_bound) & (r.gamma_sum < r.gamma_bound)
         return bool(np.all(r.delta_w[certified] < 0))
 
     def columns(self) -> dict[str, np.ndarray]:
         """The monitor's CSV columns by header."""
-        return {head: self.records[name] for head, name in MONITOR_COLUMNS[self.mode]}
+        return {head: self.records[name] for head, name in MONITOR_COLUMNS}
 
 
 def _rowdot(a, b) -> np.ndarray:
@@ -176,25 +167,25 @@ def _pow2(x) -> np.ndarray:
 
 
 def check_trajectory(mode: str, errors, phis, alphas, noise_var: float, init_c: float,
-                     weights, offsets, gains=None) -> MonitorReport:
-    """Evaluate the per-step Lyapunov columns along a recorded noise-free run.
+                     weights, offsets, gains) -> MonitorReport:
+    """Evaluate the per-step Lyapunov columns along a recorded run.
 
     errors (N+1, n) are estimate minus truth at states 0..N, whose state 0
     has information I / init_c; phis (N, n) and alphas (N,) drove the
     steps.  Block i spans offsets[i]:offsets[i+1] and adds weights[i] phi_i
-    phi_i' to the information at every step (central: one block, weight
-    1/gamma^2).  gains (N, m), the per-block phi_i' Sigma_i phi_i, is read in
-    distributed mode only.  At N = 0 the report has no rows.
+    phi_i' to the information at every step, and gains (N, m) holds its
+    phi_i' Sigma_i phi_i; central RLS is the one-block case with weight
+    1/gamma^2.  mode only names the run in errors.  At N = 0 the report
+    has no rows.
 
     No gain matrix is needed: since alpha phi'Sigma phi = 1 - alpha sigma^2,
     every closed form follows from alpha, phi, the error and the per-block
     gain scalars, and W from packed per-node information blocks advanced per
-    chunk.  A gamma bound that does not apply or is degenerate is inf.  A W
-    that is not finite raises NumericError naming its first step, since no
-    decrease check can read it.
+    chunk.  The closed forms are those of the noise-free step.  A gamma
+    bound that does not apply or is degenerate is inf.  A W that is not
+    finite raises NumericError naming its first step, since no decrease
+    check can read it.
     """
-    if mode not in MONITOR_COLUMNS:
-        raise ParameterError(f"unknown monitor mode {mode!r}")
     n_steps = phis.shape[0]
     real, idx = packed_layout(offsets)
     info = np.eye(real.shape[1]) / init_c * np.ones((real.shape[0], 1, 1))
@@ -218,27 +209,25 @@ def check_trajectory(mode: str, errors, phis, alphas, noise_var: float, init_c: 
     proj = _rowdot(errs, phis)
     scale = np.sqrt(_rowdot(phis, phis)) * np.sqrt(_rowdot(errs, errs))
     a_sig = alphas * noise_var  # = 1 - alpha phi'Sigma phi
-    weight_sum = float(np.sum(weights))  # sum of 1/gamma_i^2, the central weight
+    odw = -alphas * _pow2(proj) * (1.0 + a_sig)
+    # (phi_i'(F err)_i)^2 with F = I - alpha Sigma_B phi phi', block by block
+    resid = (np.add.reduceat(errs * phis, offsets[:-1], axis=1)
+             - (alphas * proj)[:, None] * gains) ** 2
+    denom = resid.sum(axis=1)  # err'F' Phi_B F err
+    delta_w = np.diff(w)
     cols = {
         "w": w[:-1],
-        "delta_w": np.diff(w),
+        "delta_w": delta_w,
+        "delta_w_closed": odw + (resid * weights).sum(axis=1),
+        "overline_delta_w": odw,
+        "gamma_bound": np.divide(np.abs(odw), denom, out=np.full(n_steps, np.inf),
+                                 where=(odw < 0) & (denom > DEGENERATE_DENOM_TOL)),
+        "gamma_sum": np.full(n_steps, float(np.sum(weights))),  # sum of 1/gamma_i^2
         "orthogonal_flag": np.abs(proj) <= ORTHOGONAL_TOL * scale,
+        "violation_flag": delta_w > VIOLATION_TOL,
     }
-    cols["violation_flag"] = cols["delta_w"] > VIOLATION_TOL
-    if mode == "central":
-        cols["delta_w_closed"] = _pow2(proj) * (-alphas * (1.0 + a_sig) + weight_sum * _pow2(a_sig))
-    else:
-        odw = -alphas * _pow2(proj) * (1.0 + a_sig)
-        # err'F' Phi_B F err with F = I - alpha Sigma_B phi phi', block by block
-        p_blocks = np.add.reduceat(errs * phis, offsets[:-1], axis=1)
-        denom = np.sum((p_blocks - (alphas * proj)[:, None] * gains) ** 2, axis=1)
-        applies = (odw < 0) & (denom > DEGENERATE_DENOM_TOL)
-        cols["overline_delta_w"] = odw
-        cols["gamma_bound"] = np.divide(np.abs(odw), denom, out=np.full(n_steps, np.inf),
-                                        where=applies)
-        cols["gamma_sum"] = np.full(n_steps, weight_sum)
-    names = [name for _, name in MONITOR_COLUMNS[mode]]
-    return MonitorReport(mode, np.rec.fromarrays([cols[name] for name in names], names=names))
+    names = [name for _, name in MONITOR_COLUMNS]
+    return MonitorReport(np.rec.fromarrays([cols[name] for name in names], names=names))
 
 
 def write_csv_rows(path, header, columns):

@@ -75,6 +75,12 @@ class TestGenSystem:
     def test_unwritable_path_exit_3(self, tmp_path):
         assert main(["gen-system", "--out", str(tmp_path / "nodir" / "x.json")]) == 3
 
+    def test_orders_above_64(self, tmp_path):
+        path = tmp_path / "high.json"
+        assert main(["gen-system", "--seed", "1", "--modules", "5", "--min-order", "70",
+                     "--max-order", "80", "--out", str(path)]) == 0
+        assert all(70 <= order <= 80 for order in load_system(path).orders)
+
 
 class TestRun:
     def test_both_modes_write_csvs(self, tmp_path):
@@ -106,7 +112,7 @@ class TestRun:
         paths = [f"{prefix}-central.csv", f"{prefix}-distributed.csv"]
         for mode in ("central", "distributed"):
             lines = (tmp_path / f"empty-{mode}.csv").read_text().splitlines()
-            heads = ["alpha"] + [head for head, _ in MONITOR_COLUMNS[mode]]
+            heads = ["alpha"] + [head for head, _ in MONITOR_COLUMNS]
             assert len(lines) == 1 and lines[0].endswith(",".join(heads))
         capsys.readouterr()
         assert main(["compare", "--a", paths[0], "--b", paths[1], "--metric", "W"]) == 0
@@ -328,6 +334,14 @@ class TestMonitorCommand:
         system = _gen_system(tmp_path)
         assert main(["monitor", "--system", str(system), "--mode", "both",
                      "--samples", "10", "--out", str(tmp_path / "r.csv")]) == 1
+
+    def test_mode_is_required(self, tmp_path, capsys):
+        system = _gen_system(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main(["monitor", "--system", str(system), "--samples", "10",
+                     "--out", str(out)]) == 1
+        assert "required: --mode" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["central", "distributed"])
@@ -676,10 +690,12 @@ def _invocations(draw):
         return files, ["compare", "--a", "{dir}/a.csv", "--b", "{dir}/b.csv",
                        "--threshold-frac", draw(_NUMBERS)]
     argv = [command, "--system", "{dir}/sys.json",
-            "--mode", draw(st.sampled_from(["central", "distributed", "both"])),
             "--samples", str(draw(st.integers(-1, 15))),
             "--sigma", draw(_NUMBERS), "--gamma", draw(_NUMBERS),
             "--init-c", draw(_NUMBERS), "--seed", str(draw(st.integers(-2, 2**64)))]
+    mode = draw(st.sampled_from(["central", "distributed", "both", None]))  # None: omitted
+    if mode:
+        argv += ["--mode", mode]
     if command == "run":
         argv += ["--out-prefix", "{dir}/out"] + (["--monitor"] if draw(st.booleans()) else [])
     else:

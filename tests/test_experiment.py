@@ -367,11 +367,24 @@ class TestConfigFile:
         with pytest.raises(ParameterError):
             ExperimentConfig(order_range=(0, 3))
         with pytest.raises(ParameterError):
-            ExperimentConfig(order_range=(1, 100))
+            ExperimentConfig(order_range=(3, 2))
         with pytest.raises(ParameterError):
             ExperimentConfig(gamma=0.0)
         with pytest.raises(ParameterError):
             ExperimentConfig(mode="parallel")
+
+    @pytest.mark.parametrize("field, value, need", [
+        ("seed", -1, "seed >= 0"),
+        ("m", 0, "m >= 1"),
+        ("samples", -1, "samples >= 0"),
+        ("monte_carlo_runs", -2, "monte_carlo_runs >= 0"),
+        ("order_range", (0, 3), "1 <= lo <= hi"),
+        ("order_range", (4, 3), "1 <= lo <= hi"),
+    ])
+    def test_refusal_names_the_bad_value(self, field, value, need):
+        with pytest.raises(ParameterError) as info:
+            ExperimentConfig(**{field: value})
+        assert str(info.value) == f"{field}={value!r} is out of range: need {need}"
 
     @pytest.mark.parametrize("name", ["gamma", "init_c", "noise_std", "param_std"])
     def test_scale_needs_a_finite_reciprocal_square(self, name):

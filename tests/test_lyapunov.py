@@ -182,7 +182,7 @@ class TestCheckTrajectory:
         assert counts[1.0] > counts[100.0]
 
     @pytest.mark.parametrize("mode, weights, offsets, gains", [
-        ("central", np.ones(1), np.array([0, 3]), None),
+        ("central", np.ones(1), np.array([0, 3]), np.zeros((0, 1))),
         ("distributed", np.ones(2), np.array([0, 2, 3]), np.zeros((0, 2))),
     ], ids=["central", "distributed"])
     def test_zero_steps_give_an_empty_report(self, mode, weights, offsets, gains):
@@ -191,13 +191,13 @@ class TestCheckTrajectory:
         rep = check_trajectory(mode, np.ones((1, 3)), np.zeros((0, 3)), np.zeros(0), 1.0,
                                1.0, weights, offsets, gains)
         assert len(rep.records) == 0
-        assert rep.records.dtype.names == tuple(name for _, name in MONITOR_COLUMNS[mode])
+        assert rep.records.dtype.names == tuple(name for _, name in MONITOR_COLUMNS)
         assert rep.violations == []
         assert rep.gamma_implication_ok
 
 
     @pytest.mark.parametrize("mode, weights, offsets, gains", [
-        ("central", np.ones(1), np.array([0, 3]), None),
+        ("central", np.ones(1), np.array([0, 3]), np.zeros((20, 1))),
         ("distributed", np.ones(2), np.array([0, 2, 3]), np.zeros((20, 2))),
     ], ids=["central", "distributed"])
     @pytest.mark.parametrize("init_c, bad_step", [(1.0, 17), (1e-308, 0)])
@@ -338,3 +338,64 @@ class TestMonitorOracle:
         scale = max(abs(c) for c in closed)
         for g, c in zip(got, closed):
             assert g.delta_w_closed == pytest.approx(c, rel=1e-9, abs=1e-12 * scale)
+
+    def test_distributed_closed_form_matches_protocol_difference(self):
+        # the paper-scale system of the README (gen-system --seed 7 --modules 20
+        # --max-order 10), noise-free: deltaW_closed against W_{k+1} - W_k of
+        # the stacked protocol snapshots, where that difference is resolvable;
+        # measured: median 1.6e-13 and max 2.3e-9 relative
+        cfg = ExperimentConfig(seed=7, m=20, order_range=(1, 10), noise_std=0.0,
+                               samples=1500, mode="distributed")
+        system = random_system(cfg)
+        inputs, noise = generate_signals(system, cfg)
+        theta_true = system.theta_true()
+        nodes = init_nodes(system.orders, cfg.init_c, cfg.gamma)
+        center = FusionCenter(noise_var=0.0, m=system.m)
+        bank = RegressorBank.for_system(system)
+        blk = stack(nodes)
+        w, dw = np.empty(cfg.samples), np.empty(cfg.samples)
+        for k in range(cfg.samples):
+            bank = push_inputs(bank, inputs[k])
+            y = float(bank.stacked() @ theta_true)
+            nodes, _ = run_round(nodes, center, bank, y, k=k)
+            blk_next = stack(nodes)
+            w[k] = w_quadratic(blk.theta - theta_true, blk.info_b)
+            dw[k] = w_quadratic(blk_next.theta - theta_true, blk_next.info_b) - w[k]
+            blk = blk_next
+        got = run_distributed(system, inputs, noise, cfg, monitor=True).monitor.records
+        resolvable = np.abs(dw) > 1e-8 * w
+        assert resolvable.sum() > cfg.samples // 2
+        rel = np.abs(got.delta_w_closed - dw)[resolvable] / np.abs(dw[resolvable])
+        assert np.median(rel) < 1e-12
+        assert rel.max() < 2e-8
+
+    @pytest.mark.parametrize("seed, samples", _ORACLE_RUNS)
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_central_bound_matches_rls_states(self, seed, samples, sigma):
+        # the distributed overline_dW and gamma bound on the one-block layout
+        cfg, system, inputs, noise = _oracle_setup(seed, 100.0, "central", sigma, samples)
+        theta_true = system.theta_true()
+        phis = build_regressors(system, inputs)
+        ys = outputs_from_regressors(system, phis, noise)
+        state = from_scratch_init(system.n, cfg.init_c, noise_var=sigma**2, mode="gamma")
+        odws, bounds = [], []
+        for k in range(cfg.samples):
+            phi, err = phis[k], state.theta_hat - theta_true
+            alpha = 1.0 / (sigma**2 + phi @ state.sigma_mat @ phi)
+            odws.append(overline_delta_w_b(err, phi, state.sigma_mat, alpha))
+            f_mat = np.eye(system.n) - alpha * state.sigma_mat @ np.outer(phi, phi)
+            bounds.append(gamma_sufficiency_bound(err, f_mat, np.outer(phi, phi), odws[-1])
+                          if odws[-1] < 0 else np.inf)
+            state = rls_update_gamma(state, phi, ys[k], cfg.gamma)
+        got = run_central(system, inputs, noise, cfg, monitor=True).monitor.records
+        scale = max(abs(odw) for odw in odws)
+        # measured: at most 1.7e-9 relative, in the converged tail at sigma = 0
+        assert got.overline_delta_w == pytest.approx(odws, rel=1e-8, abs=1e-12 * scale)
+        assert np.array_equal(np.isinf(got.gamma_bound), np.isinf(bounds))
+        assert np.all(got.gamma_sum == 1.0 / cfg.gamma**2)
+        finite = np.isfinite(bounds)
+        assert finite.any() == (sigma > 0)  # at sigma = 0 the central bound is vacuous
+        # bound = alpha (1 + alpha sigma^2) / (alpha sigma^2)^2 amplifies the
+        # rounding of phi'Sigma phi by 1 / (alpha sigma^2), about 1e3 here;
+        # measured: at most 7.3e-5 relative
+        assert got.gamma_bound[finite] == pytest.approx(np.array(bounds)[finite], rel=1e-3)
