@@ -11,12 +11,12 @@ comparison against the distributed estimator.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, SingularMatrixError, check_scale
+from .errors import (DimensionError, NumericError, ParameterError, SingularMatrixError,
+                     check_denominator, check_scale)
 
 #: condition number above which normal equations are treated as singular
 COND_LIMIT = 1e12
@@ -107,9 +107,7 @@ def _rank_one_step(state: CentralState, phi, y, info_weight: float) -> CentralSt
     c = state.sigma_mat @ phi
     s = float(phi @ c)
     denom = state.noise_var + s
-    if not 0 < denom < math.inf:
-        raise NumericError(f"alpha denominator sigma^2 + phi' Sigma phi = {denom!r} "
-                           "is not a positive finite number")
+    check_denominator(denom)
     alpha = 1.0 / denom
     eps = float(y) - float(phi @ state.theta_hat)
 

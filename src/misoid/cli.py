@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 from .csvcolumns import first_crossing, read_columns
 from .errors import MisoidError, ParameterError
@@ -242,13 +243,10 @@ def _guarded(fn, *args):
     """fn(*args), or the exit code of the error it raised, printed as one
     ``error:`` line."""
     try:
-        if fn is cmd_compare:  # it reads plain floats: no numpy to load or quieten
-            return fn(*args)
-        import numpy as np
-
         # every non-finite value meets an explicit check that exits 2, so
         # numpy's floating-point warnings would only repeat it
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             return fn(*args)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

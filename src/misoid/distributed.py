@@ -8,12 +8,12 @@ all nodes then update simultaneously from their pre-round state.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, ProtocolError, check_scale
+from .errors import (DimensionError, NumericError, ParameterError, ProtocolError,
+                     check_denominator, check_scale)
 from .fir import RegressorBank, block_offsets
 
 
@@ -162,9 +162,7 @@ def fuse(center: FusionCenter, y: float, ups) -> RoundMessageDown:
     by_index = sorted(ups, key=lambda msg: msg.index)
     eps = float(y) - sum(msg.local_prediction for msg in by_index)
     denom = center.noise_var + sum(msg.local_gain_scalar for msg in by_index)
-    if not 0 < denom < math.inf:
-        raise NumericError(f"alpha denominator sigma^2 + sum of gain scalars = {denom!r} "
-                           "is not a positive finite number")
+    check_denominator(denom)
     return RoundMessageDown(prediction_error=eps, alpha=1.0 / denom)
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all misoid modules, and the scale rule."""
+"""Exception hierarchy shared by all misoid modules, the scale and alpha rules."""
 import math
 
 
@@ -40,3 +40,13 @@ def check_scale(name: str, value: float, zero_ok: bool = False):
         need = f"{name} >= 0 and, unless it is 0," if zero_ok else f"{name} > 0 and"
         raise ParameterError(f"{name}={value!r} is out of range: "
                              f"need {need} 0 < {name}^2 < inf and 1/{name}^2 < inf")
+
+
+def check_denominator(denom: float, step: int | None = None):
+    """Reject an alpha denominator sigma^2 + phi' Sigma phi that is not a
+    positive finite number, naming the step when one is given; both kernels
+    and both protocol layers fail through this one rule."""
+    if not 0.0 < denom < math.inf:
+        where = "" if step is None else f"step {step}: "
+        raise NumericError(f"{where}alpha denominator sigma^2 + phi' Sigma phi = "
+                           f"{float(denom)!r} is not a positive finite number")

@@ -72,12 +72,9 @@ def generate_signals(system: MisoSystem, config: ExperimentConfig):
         )
     rng_u = np.random.default_rng([config.seed, _STREAM_INPUTS])
     inputs = rng_u.normal(0.0, 1.0, size=(n_samples, system.m))
-    if config.noise_std > 0:
-        rng_v = np.random.default_rng([config.seed, _STREAM_NOISE])
-        noise = rng_v.normal(0.0, config.noise_std, size=n_samples)
-    else:
-        noise = np.zeros(n_samples)
-    return inputs, noise
+    # at noise_std = 0 every draw is exactly +0.0
+    rng_v = np.random.default_rng([config.seed, _STREAM_NOISE])
+    return inputs, rng_v.normal(0.0, config.noise_std, size=n_samples)
 
 
 def build_regressors(system: MisoSystem, inputs) -> np.ndarray:

@@ -97,10 +97,6 @@ class RegressorBank:
     def m(self) -> int:
         return len(self.windows)
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(w.size for w in self.windows)
-
     def stacked(self) -> np.ndarray:
         """The stacked regressor: all windows concatenated in module order."""
         return np.concatenate(self.windows)

@@ -37,10 +37,12 @@ Plain, monitored and Monte Carlo runs all go through the two public
 functions; the protocol in ``central`` and ``distributed`` is the
 specification they are tested against.  Both fail like the protocol, in
 step order: they raise ``NumericError`` naming the first step where the
-shared gain denominator is not a positive finite number or an estimate,
-prediction error or gain is non-finite.  A chunk with such a step is
-rerun from its start one step at a time, gains by the rank-one updates
-and then estimates, so the error names the step the protocol stops at.
+shared gain denominator is not a positive finite number (with the
+protocol's own message, ``errors.check_denominator``) or an estimate,
+prediction error or new gain matrix is non-finite.  A chunk with such a
+step is rerun from its start one step at a time, gains by the rank-one
+updates and then estimates, so the error names the step the protocol
+stops at.
 """
 from __future__ import annotations
 
@@ -48,18 +50,11 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, check_denominator
 from .fir import packed_layout
 
 #: steps per chunk of the kernels' loop
 CHUNK = 16
-
-
-def _bad_denominator(k: int, denom) -> NumericError:
-    return NumericError(
-        f"step {k}: alpha denominator sigma^2 + phi' Sigma phi = {float(denom)!r} "
-        "is not a positive finite number"
-    )
 
 
 def _non_finite(k: int) -> NumericError:
@@ -81,8 +76,7 @@ def _rank_one_steps(sigma, phi, gamma_sq, noise_var, k0):
         cj = c[:, j] = np.matmul(sigma, phi[:, j, :, None])[..., 0]
         g = gains[j] = (phi[:, j] * cj).sum(axis=1)
         denom[j] = noise_var + g.sum()
-        if not 0.0 < denom[j] < math.inf:
-            raise _bad_denominator(k0 + j, denom[j])
+        check_denominator(denom[j], k0 + j)
         sigma -= cj[:, :, None] * cj[:, None, :] / (gamma_sq + g)[:, None, None]
     return c, gains, denom, sigma
 
@@ -163,7 +157,10 @@ def _trajectory(phis, ys, theta0, init_c, offsets, gamma_sq, noise_var):
             np.fill_diagonal(lower, 1.0)
             e = np.linalg.solve(lower, (runs[:, k:k + size] - theta @ phi.T).T).T
             new_theta = theta + (e * a) @ c
-            if not (np.isfinite(new_theta).all() and np.isfinite(e).all()):
+            # an overflowed or NaN entry of the new gain matrix puts one on
+            # the diagonal of its row (Cauchy-Schwarz), so that is checked
+            if not (np.isfinite(new_theta).all() and np.isfinite(e).all()
+                    and np.isfinite(new_sigma.diagonal(axis1=1, axis2=2)).all()):
                 raise _non_finite(k)
         except (NumericError, np.linalg.LinAlgError):
             # the gains run ahead of the chunk's estimates, and the solve

@@ -166,9 +166,9 @@ def _zero_inputs_from_step_20():
 
 def _check_kernels_and_protocol_fail_at(step, system, inputs, phis, ys, init_c, gamma, match):
     n = system.n
-    with pytest.raises(NumericError, match=f"step {step}:"):
+    with pytest.raises(NumericError, match=f"step {step}:") as central_kernel:
         kernels.central_trajectory(phis, ys, np.zeros(n), init_c, 0.0, 1.0 / gamma**2)
-    with pytest.raises(NumericError, match=f"step {step}:"):
+    with pytest.raises(NumericError, match=f"step {step}:") as distributed_kernel:
         kernels.distributed_trajectory(phis, ys, np.zeros(n), init_c,
                                        block_offsets(system.orders), np.full(system.m, gamma), 0.0)
     state = from_scratch_init(n, init_c, noise_var=0.0)
@@ -179,11 +179,17 @@ def _check_kernels_and_protocol_fail_at(step, system, inputs, phis, ys, init_c, 
         state = rls_update_gamma(state, phis[k], ys[k], gamma)
         bank = push_inputs(bank, inputs[k])
         nodes, _ = run_round(nodes, center, bank, ys[k], k=k)
-    with pytest.raises(NumericError, match=match):
+    with pytest.raises(NumericError, match=match) as central_protocol:
         rls_update_gamma(state, phis[step], ys[step], gamma)
     bank = push_inputs(bank, inputs[step])
-    with pytest.raises(NumericError, match=match):
+    with pytest.raises(NumericError, match=match) as distributed_protocol:
         run_round(nodes, center, bank, ys[step], k=step)
+    if "alpha denominator" in match:
+        # one message for the alpha rule: the protocol's is the kernel's
+        # without the step prefix
+        for kernel, protocol in ((central_kernel, central_protocol),
+                                 (distributed_kernel, distributed_protocol)):
+            assert str(kernel.value) == f"step {step}: {protocol.value}"
 
 
 def test_zero_denominator_inside_a_chunk():
@@ -211,6 +217,19 @@ def test_infinite_denominator_is_a_numeric_error():
     with np.errstate(all="ignore"):
         _check_kernels_and_protocol_fail_at(0, system, inputs, phis, ys, 100.0, 100.0,
                                             "alpha denominator .* = inf is not a positive finite")
+
+
+def test_overflowed_gain_matrix_is_named_at_its_step():
+    # c = 1e150 and inputs near 1e6: phi' Sigma phi is finite at step 0, but
+    # c c' overflows, so the new gain matrix is non-finite; both estimators
+    # stop at step 0, before the next step's denominator meets it
+    system = MisoSystem((FirModule(np.array([0.5, 0.2])), FirModule(np.array([1.0]))))
+    inputs = np.random.default_rng(0).normal(size=(40, 2)) * 1e6
+    phis = build_regressors(system, inputs)
+    ys = outputs_from_regressors(system, phis, np.zeros(40))
+    with np.errstate(all="ignore"):
+        _check_kernels_and_protocol_fail_at(0, system, inputs, phis, ys, 1e150, 1.0,
+                                            "non-finite")
 
 
 @pytest.mark.parametrize("tiny_steps", [20, 1], ids=["all-steps", "step-0"])
