@@ -27,11 +27,10 @@ Sayed & Kailath, 1994).  For a chunk of regressors Phi of one node,
 U = Sigma Phi' and G = gamma^2 I + Phi U = L L' give the chunk's gain
 vectors c_j = L_jj x_j, with x_j row j of X' = L^-1 U', and the new gain
 matrix Sigma - X X'.  One batched Cholesky factorisation of the bordered
-matrix [[G, U'], [U, Sigma]] yields L and X' for all nodes at once; when
-it fails, the packed rank-one updates compute the chunk one step at a
-time.  The chunk's errors of all realizations then solve the unit lower
-triangular system (I + tril(Phi C', -1) diag(alpha)) e = y - Phi theta,
-and theta += (alpha e)' C.
+matrix [[G, U'], [U, Sigma]] yields L and X' for all nodes at once.  The
+chunk's errors of all realizations then solve the unit lower triangular
+system (I + tril(Phi C', -1) diag(alpha)) e = y - Phi theta, and
+theta += (alpha e)' C.
 
 Plain, monitored and Monte Carlo runs all go through the two public
 functions; the protocol in ``central`` and ``distributed`` is the
@@ -39,14 +38,13 @@ specification they are tested against.  Both fail like the protocol, in
 step order: they raise ``NumericError`` naming the first step where the
 shared gain denominator is not a positive finite number (with the
 protocol's own message, ``errors.check_denominator``) or an estimate,
-prediction error or new gain matrix is non-finite.  A chunk with such a
-step is rerun from its start one step at a time, gains by the rank-one
-updates and then estimates, so the error names the step the protocol
-stops at.
+prediction error or new gain matrix is non-finite.  A chunk the block
+step refuses, and a chunk with such a step, is rerun from its start one
+step at a time, each step by the protocol's rank-one update and then its
+estimates, so the error names the step the protocol stops at and a run
+the protocol completes continues after the chunk.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -61,35 +59,31 @@ def _non_finite(k: int) -> NumericError:
     return NumericError(f"step {k}: non-finite estimate, prediction error or gain")
 
 
-def _rank_one_steps(sigma, phi, gamma_sq, noise_var, k0):
-    """The chunk starting at step k0 one step at a time, as _block_steps returns it.
+def _rank_one_step(sigma, phi, gamma_sq, noise_var, k):
+    """Step k of every node's recursion, as _block_steps returns a one-step chunk.
 
-    Each node applies its own rank-one update whatever the sign of its
-    gamma_i^2 + g_i; only the shared denominator is checked, and the first
-    bad one raises NumericError naming its step.  sigma is updated in place.
+    This is the protocol's arithmetic: each node applies its own rank-one
+    update whatever the sign of its gamma_i^2 + g_i, and only the shared
+    denominator is checked; a bad one raises NumericError naming step k.
     """
-    m, b, _ = phi.shape
-    c = np.empty_like(phi)
-    gains = np.empty((b, m))
-    denom = np.empty(b)
-    for j in range(b):
-        cj = c[:, j] = np.matmul(sigma, phi[:, j, :, None])[..., 0]
-        g = gains[j] = (phi[:, j] * cj).sum(axis=1)
-        denom[j] = noise_var + g.sum()
-        check_denominator(denom[j], k0 + j)
-        sigma -= cj[:, :, None] * cj[:, None, :] / (gamma_sq + g)[:, None, None]
-    return c, gains, denom, sigma
+    c = np.matmul(sigma, phi[:, 0, :, None])[..., 0]
+    g = (phi[:, 0] * c).sum(axis=1)
+    denom = noise_var + g.sum()
+    check_denominator(denom, k)
+    new_sigma = sigma - c[:, :, None] * c[:, None, :] / (gamma_sq + g)[:, None, None]
+    return c[:, None], g[None], np.array([denom]), new_sigma
 
 
 def _block_steps(sigma, phi, gamma_sq, noise_var):
-    """One chunk of every node's recursion by block RLS, or None if refused.
+    """One chunk of every node's recursion by block RLS.
 
     sigma is (m, p, p) and phi (m, b, p) for a chunk of b steps.  Returns
     the gain vectors (m, b, p), the per-node gains (b, m), the shared
-    denominators (b,) and the new sigma.  A chunk is refused when the
-    Cholesky factorisation fails (a node's gamma_i^2 + g_i or its new gain
-    matrix is not numerically positive definite) or a shared denominator is
-    not a positive finite number.
+    denominators (b,) and the new sigma.  The chunk is refused, and so
+    rerun one step at a time, by LinAlgError when the Cholesky
+    factorisation fails (a node's gamma_i^2 + g_i or its new gain matrix is
+    not numerically positive definite) and by NumericError when a shared
+    denominator is not a positive finite number.
     """
     m, b, p = phi.shape
     u = np.matmul(sigma, phi.transpose(0, 2, 1))
@@ -101,17 +95,14 @@ def _block_steps(sigma, phi, gamma_sq, noise_var):
     bordered[:, b:, b:] = sigma
     diag = np.arange(b)
     bordered[:, diag, diag] += gamma_sq[:, None]
-    try:
-        factor = np.linalg.cholesky(bordered)
-    except np.linalg.LinAlgError:
-        return None
+    factor = np.linalg.cholesky(bordered)
     xt = factor[:, b:, :b].transpose(0, 2, 1)
     c = xt * factor[:, diag, diag, None]
     # g_j = phi_j' c_j, not L_jj^2 - gamma^2, which cancels when gamma^2 >> g_j
     gains = (phi * c).sum(axis=2).T
     denom = noise_var + gains.sum(axis=1)
-    if not ((0.0 < denom) & (denom < math.inf)).all():
-        return None
+    if not (np.isfinite(denom) & (denom > 0.0)).all():
+        raise NumericError("block step refused: a shared denominator is not positive finite")
     return c, gains, denom, sigma - np.matmul(xt.transpose(0, 2, 1), xt)
 
 
@@ -137,15 +128,14 @@ def _trajectory(phis, ys, theta0, init_c, offsets, gamma_sq, noise_var):
     eps = np.empty(runs.shape)
     k = rerun_to = 0
     while k < n_steps:
-        size = 1 if k < rerun_to else CHUNK
+        rerun = k < rerun_to
+        size = 1 if rerun else CHUNK
         phi = phis[k:k + size]
         packed = np.where(real, phi[:, cols], 0.0).transpose(1, 0, 2)
         try:
-            # one-step reruns use the rank-one updates, the protocol's own
-            # arithmetic; they work in place, so the copy keeps the chunk's start
-            step = None if size == 1 else _block_steps(sigma, packed, gamma_sq, noise_var)
-            c, gains[k:k + size], denom, new_sigma = step or _rank_one_steps(
-                sigma.copy(), packed, gamma_sq, noise_var, k)
+            c, gains[k:k + size], denom, new_sigma = (
+                _rank_one_step(sigma, packed, gamma_sq, noise_var, k) if rerun
+                else _block_steps(sigma, packed, gamma_sq, noise_var))
             cs[k:k + size] = c.transpose(1, 0, 2)[:, real]
             alpha[k:k + size] = 1.0 / denom
             # the C-ordered rows of cs, not the F-ordered gather: BLAS rounds
@@ -163,11 +153,12 @@ def _trajectory(phis, ys, theta0, init_c, offsets, gamma_sq, noise_var):
                     and np.isfinite(new_sigma.diagonal(axis1=1, axis2=2)).all()):
                 raise _non_finite(k)
         except (NumericError, np.linalg.LinAlgError):
-            # the gains run ahead of the chunk's estimates, and the solve
-            # spreads a non-finite value to the chunk's earlier steps, so the
-            # chunk is rerun one step at a time from its start; the first
-            # step that fails is the one the protocol stops at
-            if size == 1:
+            # a refused chunk, or one that fails: the gains run ahead of the
+            # chunk's estimates, and the solve spreads a non-finite value to
+            # the chunk's earlier steps, so the chunk is rerun one step at a
+            # time from its start; the first step that fails is the one the
+            # protocol stops at
+            if rerun:
                 raise
             rerun_to = k + size
             continue

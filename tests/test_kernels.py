@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -53,11 +54,36 @@ def test_kernels_match_protocol_at_chunk_edges(samples):
     _check_distributed_kernel_against_protocol(orders=None, samples=samples)
 
 
-def test_rank_one_rerun_matches_protocol(monkeypatch):
+def _refuse(*args):
+    raise np.linalg.LinAlgError("block step refused")
+
+
+@pytest.mark.parametrize("samples", CHUNK_EDGES)
+def test_rank_one_rerun_matches_protocol(monkeypatch, samples):
     # refuse every block step, so each chunk runs through the rank-one rerun
-    monkeypatch.setattr(kernels, "_block_steps", lambda *args: None)
+    monkeypatch.setattr(kernels, "_block_steps", _refuse)
+    _check_central_kernel_against_object_layer(samples)
+    _check_distributed_kernel_against_protocol(orders=[3, 1, 2], samples=samples)
+
+
+def test_block_step_resumes_after_a_rerun(monkeypatch):
+    # refuse the chunk at k = 16 only: its steps are rerun one at a time,
+    # then the block step takes the partial chunk at k = 32 (5 of 37 steps)
+    block_steps = kernels._block_steps
+    lengths = []
+
+    def refuse_second_chunk(sigma, phi, *rest):
+        lengths.append(phi.shape[1])
+        if len(lengths) == 2:
+            _refuse()
+        return block_steps(sigma, phi, *rest)
+
+    monkeypatch.setattr(kernels, "_block_steps", refuse_second_chunk)
     _check_central_kernel_against_object_layer(samples=37)
-    _check_distributed_kernel_against_protocol(orders=[3, 1, 2], samples=37)
+    assert lengths == [16, 16, 5]
+    lengths.clear()
+    _check_distributed_kernel_against_protocol(orders=None, samples=37)
+    assert lengths == [16, 16, 5]
 
 
 def _check_central_kernel_against_object_layer(samples=80):
@@ -123,6 +149,92 @@ def _check_distributed_kernel_against_protocol(orders, samples=80):
         assert np.allclose(alpha[k], tr.down.alpha, rtol=1e-9, atol=1e-12)
         ups = sorted(tr.ups, key=lambda u: u.index)
         assert np.allclose(gains[k], [u.local_gain_scalar for u in ups], rtol=1e-9, atol=1e-12)
+
+
+def _long_double_history(phis, ys, offsets, gamma_sq, noise_var, init_c):
+    """The gamma-driven per-block recursion in np.longdouble, one step at a time.
+
+    This is the protocol's arithmetic at a higher precision: node i's gain
+    vector c_i = Sigma_i phi_i and scalar g_i = phi_i' c_i, the shared
+    alpha = 1 / (sigma^2 + sum_i g_i), theta += alpha eps c and
+    Sigma_i -= c_i c_i' / (gamma_i^2 + g_i).  The central recursion is its
+    one-block case.  Returns the (N, n) estimate history.
+    """
+    ld = np.longdouble
+    blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    sigmas = [ld(init_c) * np.eye(b.stop - b.start, dtype=ld) for b in blocks]
+    theta = np.zeros(phis.shape[1], dtype=ld)
+    history = np.empty(phis.shape, dtype=ld)
+    for k, (phi, y) in enumerate(zip(phis.astype(ld), ys.astype(ld))):
+        cs = [sigma @ phi[b] for sigma, b in zip(sigmas, blocks)]
+        gs = [phi[b] @ c for c, b in zip(cs, blocks)]
+        alpha = 1 / (ld(noise_var) + sum(gs))
+        theta = history[k] = theta + alpha * (y - phi @ theta) * np.concatenate(cs)
+        sigmas = [sigma - np.outer(c, c) / (ld(g2) + g)
+                  for sigma, c, g, g2 in zip(sigmas, cs, gs, gamma_sq)]
+    return history
+
+
+def _max_distance(history, reference):
+    """max over steps of ||theta_k - theta_ld,k||"""
+    return float(np.sqrt(((history - reference) ** 2).sum(axis=1)).max())
+
+
+@functools.cache
+def _paper_forward_errors(mode, gamma, sigma, samples=300):
+    """On the paper system, for one mode, gamma and sigma: the kernel's run
+    as a call, the long-double history and the protocol's forward error."""
+    system = random_system(ExperimentConfig(seed=7, m=20, order_range=(1, 10)))
+    cfg = ExperimentConfig(seed=1, m=system.m, noise_std=sigma, gamma=gamma, samples=samples)
+    inputs, noise = generate_signals(system, cfg)
+    phis = build_regressors(system, inputs)
+    ys = outputs_from_regressors(system, phis, noise)
+    noise_var, start = sigma**2, np.zeros(system.n)
+    if mode == "central":
+        offsets = np.array([0, system.n])
+        kernel = functools.partial(kernels.central_trajectory, phis, ys, start, cfg.init_c,
+                                   noise_var, 1.0 / gamma**2)
+        state = from_scratch_init(system.n, cfg.init_c, noise_var=noise_var, mode="gamma")
+        protocol = []
+        for k in range(samples):
+            state = rls_update_gamma(state, phis[k], ys[k], gamma)
+            protocol.append(state.theta_hat)
+    else:
+        offsets = block_offsets(system.orders)
+        kernel = functools.partial(kernels.distributed_trajectory, phis, ys, start, cfg.init_c,
+                                   offsets, np.full(system.m, gamma), noise_var)
+        nodes = init_nodes(system.orders, cfg.init_c, gamma)
+        center = FusionCenter(noise_var=noise_var, m=system.m)
+        bank = RegressorBank.for_system(system)
+        protocol = []
+        for k in range(samples):
+            bank = push_inputs(bank, inputs[k])
+            nodes, _ = run_round(nodes, center, bank, ys[k], k=k)
+            protocol.append(np.concatenate([node.theta_hat for node in nodes]))
+    gamma_sq = np.full(len(offsets) - 1, gamma**2)
+    reference = _long_double_history(phis, ys, offsets, gamma_sq, noise_var, cfg.init_c)
+    return kernel, reference, _max_distance(np.array(protocol), reference)
+
+
+# the kernels' max forward error against long double, as a multiple of the
+# protocol's own: measured 1.0-1.9, 15.6-15.9 for distributed at gamma = 1
+# and 0.6-1.5 with every chunk refused; kernels.CHUNK = 32 reads 42 and
+# CHUNK = 128 reads 458-468 for distributed at gamma = 1
+FORWARD_ERROR_K = 30.0
+
+
+@pytest.mark.parametrize("mode", ["central", "distributed"])
+@pytest.mark.parametrize("gamma, sigma, refused",
+                         [(100.0, 0.0, False), (100.0, 0.1, False), (1.0, 0.0, False),
+                          (1.0, 0.1, False), (1.0, 0.1, True)],
+                         ids=["gamma100-sigma0", "gamma100-sigma0.1", "gamma1-sigma0",
+                              "gamma1-sigma0.1", "gamma1-sigma0.1-refused"])
+def test_kernel_forward_error_is_near_the_protocols(monkeypatch, mode, gamma, sigma, refused):
+    # refused: every chunk runs through the one-step rerun
+    if refused:
+        monkeypatch.setattr(kernels, "_block_steps", _refuse)
+    kernel, reference, protocol_error = _paper_forward_errors(mode, gamma, sigma)
+    assert _max_distance(kernel()[0], reference) <= FORWARD_ERROR_K * protocol_error
 
 
 def _zero_input_setup(samples=5):
