@@ -5,6 +5,7 @@ Subcommands: gen-system, run, monitor, compare.  Exit codes: 0 success,
 allocated, 3 I/O error.  All machine-readable stdout lines are prefixed
 ``info:`` or ``result:``.  Each command imports what it needs when it runs, so
 ``compare``, which reads its floats through ``csvcolumns``, loads no numpy.
+Importing this module sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.
 """
 from __future__ import annotations
 
@@ -13,6 +14,10 @@ import math
 import os
 import sys
 import warnings
+
+# an idle OpenBLAS worker spins 2^20 cycles, not 2^28, before it sleeps; the
+# thread count and so the bytes are unchanged, and an exported value wins
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 from .csvcolumns import first_crossing, read_columns
 from .errors import MisoidError, ParameterError

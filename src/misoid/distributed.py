@@ -102,18 +102,6 @@ class BlockState:
     def n(self) -> int:
         return self.theta.size
 
-    def block(self, i: int) -> slice:
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
-
-    def phi_b(self, phi) -> np.ndarray:
-        """blockdiag(phi_i phi_i') for a stacked regressor phi."""
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros((self.n, self.n))
-        for i in range(self.m):
-            sl = self.block(i)
-            out[sl, sl] = np.outer(phi[sl], phi[sl])
-        return out
-
 
 def init_nodes(orders, c: float, gamma: float) -> list[NodeState]:
     """Zero estimates with gain c*I per node and a common constant gamma."""

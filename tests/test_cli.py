@@ -29,11 +29,15 @@ from misoid.fir import load_system
 from misoid.lyapunov import MONITOR_COLUMNS
 
 
-def _python(*args):
-    """A fresh interpreter run with args, importing misoid from this source tree."""
+def _python(*args, **env_vars):
+    """A fresh interpreter run with args, importing misoid from this source tree.
+
+    env_vars are set in its environment, or left out of it where they are None.
+    """
     src = os.path.dirname(os.path.dirname(misoid.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env_vars)
+    env = {key: value for key, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           check=False)
 
@@ -478,6 +482,15 @@ class TestCompare:
                              "if m.startswith('misoid')), 'numpy' in sys.modules, "
                              "hasattr(misoid, 'MisoSystem'))")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['misoid'] False False\n", "")
+
+    # this process imported misoid.cli, so its own environment holds the value already
+    @pytest.mark.parametrize("exported, seen", [(None, "20"), ("7", "7")],
+                             ids=["default", "exported"])
+    def test_cli_import_shortens_the_blas_spin_before_numpy(self, exported, seen):
+        proc = _python("-c", "import os, sys, misoid.cli; print(os.environ.get("
+                             "'OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules)",
+                       OPENBLAS_THREAD_TIMEOUT=exported)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{seen} False\n", "")
 
     def test_unread_column_is_not_parsed(self, tmp_path, capsys):
         # a full read rejects the dirty file (test_malformed_csv_names_the_file)

