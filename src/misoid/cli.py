@@ -5,7 +5,12 @@ Subcommands: gen-system, run, monitor, compare.  Exit codes: 0 success,
 allocated, 3 I/O error.  All machine-readable stdout lines are prefixed
 ``info:`` or ``result:``.  Each command imports what it needs when it runs, so
 ``compare``, which reads its floats through ``csvcolumns``, loads no numpy.
-Importing this module sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.
+``run --mode both`` draws its data once and runs one process per
+estimator: a forked child runs the central estimator and writes its CSV
+while this process does the same for the distributed one.  No CSV is
+written unless both estimators succeed, and every line is printed by
+this process, in mode order.  Importing this module sets
+OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.
 """
 from __future__ import annotations
 
@@ -77,9 +82,9 @@ def _add_run_flags(sub, sigma: float):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _run_trajectories(args, monitor: bool):
-    """Run the configured estimators on the system file."""
-    from .experiment import ExperimentConfig, run_experiment
+def _draw(args):
+    """The system file, its one draw of regressors and outputs, and the run's config."""
+    from .experiment import ExperimentConfig, draw
     from .fir import load_system
 
     # m and order_range only shape random_system; a system file's own
@@ -92,8 +97,8 @@ def _run_trajectories(args, monitor: bool):
         samples=args.samples,
         mode=args.mode,
     )
-    result = run_experiment(config, load_system(args.system), monitor=monitor)
-    return [traj for traj in (result.central, result.distributed) if traj is not None]
+    system = load_system(args.system)
+    return (system, *draw(system, config), config)
 
 
 def cmd_gen_system(args) -> int:
@@ -113,85 +118,171 @@ def cmd_gen_system(args) -> int:
     return EXIT_OK
 
 
-def _fork_writer(traj, path) -> int | None:
-    """Write traj's CSV in a forked child and return its pid; None when
-    this process cannot fork or could not learn how the child ended, and
-    then it writes the file itself.
+def _stages(mode, system, phis, ys, config, monitor, path):
+    """mode's estimator, with its monitor if asked; once resumed, its CSV
+    and the lines that report it."""
+    from . import experiment  # the writer is looked up when it runs
 
-    The child writes straight from the arrays it shares with this process,
-    reports a failure through main's mapping and leaves through os._exit,
-    so nothing of the caller (buffered stdout, exit handlers, a test
-    runner's teardown) runs or flushes in it.  OpenBLAS joins its worker
-    threads at fork, so the process forks with one thread.
+    traj = experiment.run_estimator(mode, system, phis, ys, config, monitor)
+    yield
+    experiment.write_trajectory_csv(traj, path)
+    print(f"info: wrote {path}")
+    if traj.samples:
+        print(f"result: {mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}")
+
+
+def _next_stage(stages):
+    """Run stages to its next pause under main's error mapping: the exit
+    code, and the stdout and stderr it would have printed."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _guarded(next, stages, None)
+    return code or EXIT_OK, out.getvalue(), err.getvalue()
+
+
+class _Run:
+    """One estimator's stages, run in this process or in a forked child.
+
+    outcome() runs, or waits for, the next stage and returns its
+    (exit code, stdout, stderr), or an OSError when the child ended
+    without reporting; resume(go) lets a child go on to its CSV stage or
+    end; close() reaps the child.
+    """
+
+    def __init__(self, stages, path, fork: bool):
+        self.stages, self.path = stages, path
+        self.pid, self.reports, self.go = (fork and _fork_writer(stages)) or (None, None, None)
+
+    def outcome(self):
+        if self.pid is None:
+            return _next_stage(self.stages)
+        import json
+
+        line = self.reports.readline()
+        if line:
+            return json.loads(line)
+        code = self.close()
+        how = f"was ended by signal {-code}" if code < 0 else f"ended with exit code {code}"
+        return OSError(f"the writer of {self.path} {how}")
+
+    def resume(self, go: bool):
+        if self.pid is not None:
+            self.go.write(b"1" if go else b"0")
+            self.go.close()
+
+    def close(self):
+        """Close the pipes and reap the child, if any: its exit code."""
+        if self.pid is None:
+            return None
+        self.go.close()
+        self.reports.close()
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _fork_writer(stages):
+    """Fork a child that runs stages, which write a CSV; return its pid
+    with this process's ends of its report and go pipes, or None when this
+    process cannot fork, and then it runs the stages itself.
+
+    The child reports each stage's outcome on a pipe as one JSON line: the
+    exit code, and what it would print through main's mapping, or a
+    traceback and exit 1 for an unexpected error.  After the estimator it
+    waits on a second pipe for this process's go, so no CSV is written when
+    any estimator fails.  It prints nothing itself and leaves through
+    os._exit, so nothing of the caller (buffered stdout, exit handlers, a
+    test runner's teardown) runs or flushes in it.  OpenBLAS joins its
+    worker threads at fork, so the process forks with one thread.
     """
     import signal  # here, not at the top: building its enums costs about 1 ms
 
-    from .experiment import write_trajectory_csv
-
-    pid = None
     try:
         # with SIGCHLD ignored the child is reaped unseen and its exit code lost
-        if signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN:
-            pid = os.fork()
-    except (AttributeError, OSError):  # no SIGCHLD or os.fork on this platform, or fork() failed
-        pass
-    if pid is None:
-        write_trajectory_csv(traj, path)
-    elif pid == 0:
+        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+            return None
+    except AttributeError:  # no SIGCHLD on this platform
+        return None
+    report_r, report_w = os.pipe()
+    go_r, go_w = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork on this platform, or fork() failed
+        for fd in (report_r, report_w, go_r, go_w):
+            os.close(fd)
+        return None
+    if pid == 0:
         code = 1
         try:
-            code = _guarded(write_trajectory_csv, traj, path) or EXIT_OK
-        except BaseException:  # ends the child as it would end a process: traceback, exit 1
-            sys.excepthook(*sys.exc_info())
+            os.close(report_r)
+            os.close(go_w)
+            with os.fdopen(report_w, "w") as reports, os.fdopen(go_r, "rb") as go:
+                _report(stages, reports)
+                if go.read(1) == b"1":
+                    _report(stages, reports)
+            code = EXIT_OK
         finally:
             os._exit(code)
-    return pid
+    os.close(report_w)
+    os.close(go_r)
+    return pid, os.fdopen(report_r, "rb"), os.fdopen(go_w, "wb")
 
 
-def _reap(pid, path):
-    """Wait for the child writing path, if any: None when it succeeded,
-    the exit code of a failure it has printed, or an OSError when a signal
-    ended it."""
-    if pid is None:
-        return None
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code < 0:
-        return OSError(f"the writer of {path} was ended by signal {-code}")
-    return code or None
+def _report(stages, reports):
+    """Run the next stage in a forked child and write its outcome to reports."""
+    import json
+
+    try:
+        outcome = _next_stage(stages)
+    except BaseException:  # ends the stage as it would end a process: traceback, exit 1
+        import traceback
+
+        outcome = (1, "", traceback.format_exc())
+    reports.write(json.dumps(outcome) + "\n")
+    reports.flush()
 
 
 def cmd_run(args) -> int:
-    from .experiment import write_trajectory_csv
-
-    trajs = _run_trajectories(args, monitor=args.monitor)
-    paths = [f"{args.out_prefix}-{traj.mode}.csv" for traj in trajs]
-    # every file but the last is written by a forked child while this
-    # process writes the last; then the files are reported in mode order,
-    # up to the first that failed, whose error alone is printed
-    pids, error = [], None
+    system, phis, ys, config = _draw(args)
+    # every estimator but the last runs in a forked child while this process
+    # runs the last; each reports its estimator, the CSVs are written only
+    # when all succeeded, and then everything is printed here in mode order,
+    # up to the first failure, whose error alone is printed
+    runs, written = [], []
     try:
-        for traj, path in zip(trajs[:-1], paths):
-            pids.append(_fork_writer(traj, path))
-        write_trajectory_csv(trajs[-1], paths[-1])
-    except Exception as exc:
-        error = exc
+        for i, mode in enumerate(config.modes):
+            path = f"{args.out_prefix}-{mode}.csv"
+            stages = _stages(mode, system, phis, ys, config, args.monitor, path)
+            runs.append(_Run(stages, path, fork=i < len(config.modes) - 1))
+        # this process runs its own stage before it waits for a child's
+        estimated = [run.outcome() for run in reversed(runs)][::-1]
+        go = not any(isinstance(outcome, OSError) or outcome[0] for outcome in estimated)
+        for run in runs:
+            run.resume(go)
+        if go:
+            written = [run.outcome() for run in reversed(runs)][::-1]
     finally:
-        outcomes = [_reap(pid, path) for pid, path in zip(pids, paths)]
-    for traj, path, outcome in zip(trajs, paths, outcomes + [error]):
-        if isinstance(outcome, Exception):
+        for run in runs:
+            run.close()
+    for outcome in estimated + written:
+        if isinstance(outcome, OSError):
             raise outcome
-        if outcome:
-            return outcome  # the child has printed its error
-        print(f"info: wrote {path}")
-        if traj.samples:
-            print(f"result: {traj.mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}")
+        code, out, err = outcome
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+        if code:
+            return code
     return EXIT_OK
 
 
 def cmd_monitor(args) -> int:
+    from .experiment import run_estimator
     from .lyapunov import write_monitor_csv
 
-    (traj,) = _run_trajectories(args, monitor=True)
+    system, phis, ys, config = _draw(args)
+    traj = run_estimator(args.mode, system, phis, ys, config, monitor=True)
     if not traj.samples:
         print("error: no samples to monitor", file=sys.stderr)
         return EXIT_USAGE

@@ -36,6 +36,11 @@ class ExperimentConfig:
     mode: str = "both"  # central | distributed | both
     monte_carlo_runs: int = 0
 
+    @property
+    def modes(self) -> tuple[str, ...]:
+        """The estimators this config runs, in mode order."""
+        return ("central", "distributed") if self.mode == "both" else (self.mode,)
+
     def __post_init__(self):
         lo, hi = self.order_range
         if not 1 <= lo <= hi:
@@ -98,6 +103,14 @@ def outputs_from_regressors(system: MisoSystem, phis, noise) -> np.ndarray:
     return phis @ system.theta_true() + np.asarray(noise, dtype=float)
 
 
+def draw(system: MisoSystem, config: ExperimentConfig):
+    """The one draw every estimator of a run consumes: the (N, n)
+    regressors and the (N,) outputs of config's signals."""
+    inputs, noise = generate_signals(system, config)
+    phis = build_regressors(system, inputs)
+    return phis, outputs_from_regressors(system, phis, noise)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Per-step record of one estimator run (row k = state after sample k)."""
@@ -119,7 +132,8 @@ class Trajectory:
         return float(self.err_norm_sq[-1])
 
 
-def _run(mode, system: MisoSystem, phis, ys, config: ExperimentConfig, monitor=False):
+def run_estimator(mode, system: MisoSystem, phis, ys, config: ExperimentConfig,
+                  monitor: bool = False):
     """Run mode's kernel over regressors phis (N, n) and outputs ys.
 
     Central RLS is the distributed recursion's one-block case: one node
@@ -164,16 +178,16 @@ def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
                 monitor: bool = False) -> Trajectory:
     """Central gamma-driven recursive LSE over the given signals."""
     phis = build_regressors(system, inputs)
-    return _run("central", system, phis, outputs_from_regressors(system, phis, noise), config,
-                monitor)
+    return run_estimator("central", system, phis, outputs_from_regressors(system, phis, noise),
+                         config, monitor)
 
 
 def run_distributed(system: MisoSystem, inputs, noise, config: ExperimentConfig,
                     monitor: bool = False) -> Trajectory:
     """Distributed fusion-center estimator over the given signals."""
     phis = build_regressors(system, inputs)
-    return _run("distributed", system, phis, outputs_from_regressors(system, phis, noise),
-                config, monitor)
+    return run_estimator("distributed", system, phis,
+                         outputs_from_regressors(system, phis, noise), config, monitor)
 
 
 @dataclass(frozen=True)
@@ -188,12 +202,9 @@ def run_experiment(config: ExperimentConfig, system: MisoSystem | None = None,
     on one draw of signals, regressors and outputs."""
     if system is None:
         system = random_system(config)
-    inputs, noise = generate_signals(system, config)
-    phis = build_regressors(system, inputs)
-    ys = outputs_from_regressors(system, phis, noise)
-    modes = ("central", "distributed") if config.mode == "both" else (config.mode,)
-    return ExperimentResult(**{mode: _run(mode, system, phis, ys, config, monitor)
-                               for mode in modes})
+    phis, ys = draw(system, config)
+    return ExperimentResult(**{mode: run_estimator(mode, system, phis, ys, config, monitor)
+                               for mode in config.modes})
 
 
 def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.ndarray:
@@ -209,7 +220,7 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
     for r in range(config.monte_carlo_runs):
         rng = np.random.default_rng([config.seed, _STREAM_MC_NOISE, r])
         ys[r] = clean + rng.normal(0.0, config.noise_std, size=config.samples)
-    return _run("distributed", system, phis, ys, config)
+    return run_estimator("distributed", system, phis, ys, config)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path):

@@ -26,10 +26,19 @@ A chunk's gains come from block RLS (Haykin, Adaptive Filter Theory;
 Sayed & Kailath, 1994).  For a chunk of regressors Phi of one node,
 U = Sigma Phi' and G = gamma^2 I + Phi U = L L' give the chunk's gain
 vectors c_j = L_jj x_j, with x_j row j of X' = L^-1 U', and the new gain
-matrix Sigma - X X'.  One batched Cholesky factorisation of the bordered
-matrix [[G, U'], [U, Sigma]] yields L and X' for all nodes at once.  The
-chunk's errors of all realizations then solve the unit lower triangular
-system (I + tril(Phi C', -1) diag(alpha)) e = y - Phi theta, and
+matrix Sigma - X X'.  The packed shape picks how L and X' are found,
+for all nodes at once.  Blocks no wider than CHUNK (the distributed
+layouts of small orders) take both from one batched Cholesky
+factorisation of the bordered matrix [[G, U'], [U, Sigma]]; wider blocks
+(central at n > CHUNK) factor G alone and solve L X' = U', which avoids
+the (p + b)^2 bordered matrix and OpenBLAS's threads for its
+factorisation.  The bordered factorisation also checks the new gain
+matrix: its trailing block is the Cholesky factor of Sigma - X X', which
+fails when a step all but projects Sigma (gamma^2 << g).  The other form
+has no such check, so it refuses a chunk where some gamma_i^2 is below
+NEGLIGIBLE times a step's gamma_i^2 + g_i.  The chunk's errors of all
+realizations then solve the unit lower triangular system
+(I + tril(Phi C', -1) diag(alpha)) e = y - Phi theta, and
 theta += (alpha e)' C.
 
 Plain, monitored and Monte Carlo runs all go through the two public
@@ -53,6 +62,9 @@ from .fir import packed_layout
 
 #: steps per chunk of the kernels' loop
 CHUNK = 16
+#: a chunk whose gamma_i^2 is below this share of a step's gamma_i^2 + g_i
+#: is rerun one step at a time when its blocks are wider than CHUNK
+NEGLIGIBLE = 1e-12
 
 
 def _non_finite(k: int) -> NumericError:
@@ -79,25 +91,41 @@ def _block_steps(sigma, phi, gamma_sq, noise_var):
 
     sigma is (m, p, p) and phi (m, b, p) for a chunk of b steps.  Returns
     the gain vectors (m, b, p), the per-node gains (b, m), the shared
-    denominators (b,) and the new sigma.  The chunk is refused, and so
-    rerun one step at a time, by LinAlgError when the Cholesky
-    factorisation fails (a node's gamma_i^2 + g_i or its new gain matrix is
-    not numerically positive definite) and by NumericError when a shared
-    denominator is not a positive finite number.
+    denominators (b,) and the new sigma.  Blocks wider than CHUNK factor
+    G alone and solve L X' = U'; narrower ones factor the bordered matrix.
+    The chunk is refused, and so rerun one step at a time:
+    - by LinAlgError when a Cholesky factorisation fails: a node's
+      gamma_i^2 + g_i, or in the bordered form its new gain matrix, is not
+      numerically positive definite;
+    - by NumericError when a shared denominator is not a positive finite
+      number;
+    - in the form that factors G alone, by NumericError when some
+      gamma_i^2 is below NEGLIGIBLE times a step's L_jj^2 = gamma_i^2 + g_i,
+      where the bordered form's factor of the new gain matrix would fail.
     """
     m, b, p = phi.shape
     u = np.matmul(sigma, phi.transpose(0, 2, 1))
-    # the Cholesky factor of [[G, U'], [U, Sigma]] is [[L, 0], [X, *]]
-    bordered = np.empty((m, b + p, b + p))
-    np.matmul(phi, u, out=bordered[:, :b, :b])
-    bordered[:, b:, :b] = u
-    bordered[:, :b, b:] = u.transpose(0, 2, 1)
-    bordered[:, b:, b:] = sigma
     diag = np.arange(b)
-    bordered[:, diag, diag] += gamma_sq[:, None]
-    factor = np.linalg.cholesky(bordered)
-    xt = factor[:, b:, :b].transpose(0, 2, 1)
-    c = xt * factor[:, diag, diag, None]
+    if p > CHUNK:
+        gram = np.matmul(phi, u)
+        gram[:, diag, diag] += gamma_sq[:, None]
+        factor = np.linalg.cholesky(gram)
+        pivots = factor[:, diag, diag]
+        if (gamma_sq[:, None] < NEGLIGIBLE * pivots**2).any():
+            raise NumericError("block step refused: gamma^2 is negligible against a gain")
+        xt = np.linalg.solve(factor, u.transpose(0, 2, 1))
+        c = xt * pivots[..., None]
+    else:
+        # the Cholesky factor of [[G, U'], [U, Sigma]] is [[L, 0], [X, *]]
+        bordered = np.empty((m, b + p, b + p))
+        np.matmul(phi, u, out=bordered[:, :b, :b])
+        bordered[:, b:, :b] = u
+        bordered[:, :b, b:] = u.transpose(0, 2, 1)
+        bordered[:, b:, b:] = sigma
+        bordered[:, diag, diag] += gamma_sq[:, None]
+        factor = np.linalg.cholesky(bordered)
+        xt = factor[:, b:, :b].transpose(0, 2, 1)
+        c = xt * factor[:, diag, diag, None]
     # g_j = phi_j' c_j, not L_jj^2 - gamma^2, which cancels when gamma^2 >> g_j
     gains = (phi * c).sum(axis=2).T
     denom = noise_var + gains.sum(axis=1)

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import misoid.experiment
+import misoid.kernels
 from misoid.cli import main
 from misoid.csvcolumns import first_crossing, read_columns
+from misoid.errors import NumericError
 from misoid.experiment import (
     ExperimentConfig,
     generate_signals,
@@ -182,8 +184,8 @@ def _run_argv(system, mode, prefix, samples=17, monitor=False):
 
 
 class TestRunWriters:
-    """run --mode both writes the central CSV in a forked child while it
-    writes the distributed one itself."""
+    """run --mode both runs the central estimator and writes its CSV in a
+    forked child while it runs the distributed one and writes that itself."""
 
     @pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
     @pytest.mark.parametrize("samples", [0, 1, 17, 400])
@@ -224,6 +226,24 @@ class TestRunWriters:
             assert (tmp_path / "x-central.csv").read_bytes() == one
         else:
             assert out == ""
+
+    @pytest.mark.parametrize("failing", [("central",), ("distributed",),
+                                         ("central", "distributed")],
+                             ids=["central", "distributed", "both"])
+    def test_failing_estimator_writes_no_csv(self, tmp_path, capsys, monkeypatch, failing):
+        # the estimators exchange their outcomes before either writes, and
+        # only the first failure in mode order is printed
+        for mode in failing:
+            def fail(*args, mode=mode):
+                raise NumericError(f"the {mode} kernel failed")
+            monkeypatch.setattr(misoid.kernels, f"{mode}_trajectory", fail)
+        system = _gen_system(tmp_path)
+        capsys.readouterr()
+        assert main(_run_argv(system, "both", tmp_path / "x")) == 2
+        _no_child_left()
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: the {failing[0]} kernel failed\n"
+        assert not list(tmp_path.glob("x-*"))
 
     @pytest.mark.parametrize("exc,code,text", [
         (MemoryError("no room"), 2, "error: out of memory: no room"),

@@ -11,6 +11,7 @@ from misoid.errors import NumericError
 from misoid.experiment import (
     ExperimentConfig,
     build_regressors,
+    draw,
     generate_signals,
     monte_carlo_distributed,
     outputs_from_regressors,
@@ -45,13 +46,19 @@ def test_central_kernel_matches_object_layer():
 # the passes advance CHUNK = 16 steps at a time: a lone step, one short of
 # a chunk, one chunk, one step into the next, and a partial third chunk
 CHUNK_EDGES = [1, 15, 16, 17, 37]
+# blocks no wider than CHUNK take their gains from the bordered factorisation,
+# wider ones from the Cholesky factor of G alone: orders [20, 1, 3] give the
+# central block n = 24 and one distributed node of order 20
+WIDE = [20, 1, 3]
 
 
-@pytest.mark.parametrize("samples", CHUNK_EDGES)
-def test_kernels_match_protocol_at_chunk_edges(samples):
+@pytest.mark.parametrize("samples, orders",
+                         [pytest.param(s, None, id=str(s)) for s in CHUNK_EDGES]
+                         + [pytest.param(s, WIDE, id=f"{s}-wide") for s in CHUNK_EDGES])
+def test_kernels_match_protocol_at_chunk_edges(samples, orders):
     assert kernels.CHUNK == 16
-    _check_central_kernel_against_object_layer(samples)
-    _check_distributed_kernel_against_protocol(orders=None, samples=samples)
+    _check_central_kernel_against_object_layer(samples, orders)
+    _check_distributed_kernel_against_protocol(orders=orders, samples=samples)
 
 
 def _refuse(*args):
@@ -67,6 +74,14 @@ def test_rank_one_rerun_matches_protocol(monkeypatch, samples):
 
 
 def test_block_step_resumes_after_a_rerun(monkeypatch):
+    _check_block_step_resumes_after_a_rerun(monkeypatch, orders=None)
+
+
+def test_block_step_resumes_after_a_rerun_on_a_wide_layout(monkeypatch):
+    _check_block_step_resumes_after_a_rerun(monkeypatch, orders=WIDE)
+
+
+def _check_block_step_resumes_after_a_rerun(monkeypatch, orders):
     # refuse the chunk at k = 16 only: its steps are rerun one at a time,
     # then the block step takes the partial chunk at k = 32 (5 of 37 steps)
     block_steps = kernels._block_steps
@@ -79,15 +94,36 @@ def test_block_step_resumes_after_a_rerun(monkeypatch):
         return block_steps(sigma, phi, *rest)
 
     monkeypatch.setattr(kernels, "_block_steps", refuse_second_chunk)
-    _check_central_kernel_against_object_layer(samples=37)
+    _check_central_kernel_against_object_layer(samples=37, orders=orders)
     assert lengths == [16, 16, 5]
     lengths.clear()
-    _check_distributed_kernel_against_protocol(orders=None, samples=37)
+    _check_distributed_kernel_against_protocol(orders=orders, samples=37)
     assert lengths == [16, 16, 5]
 
 
-def _check_central_kernel_against_object_layer(samples=80):
-    cfg, system, phis, ys = _reference_setup(samples=samples)
+@pytest.mark.parametrize("seed, stop", [(0, None), (1, None), (2, 257), (3, None), (4, 181),
+                                        (5, 164)])
+def test_negligible_gamma_refuses_the_wide_chunk(seed, stop):
+    # gamma^2 = 1e-6 against c ||phi||^2 of about 1e8: each step all but
+    # projects Sigma, which the one-step path keeps positive definite; the
+    # chunk form that factors G alone must refuse such a chunk to stop where
+    # the one-step path stops and to complete where it completes
+    cfg = ExperimentConfig(seed=seed, m=20, order_range=(1, 3), gamma=1e-3, init_c=1e8,
+                           noise_std=0.0, samples=300)
+    system = random_system(cfg)
+    assert system.n > kernels.CHUNK
+    phis, ys = draw(system, cfg)
+    run = functools.partial(kernels.central_trajectory, phis, ys, np.zeros(system.n),
+                            cfg.init_c, 0.0, 1.0 / cfg.gamma**2)
+    if stop is None:
+        assert np.isfinite(run()[0]).all()
+    else:
+        with pytest.raises(NumericError, match=f"^step {stop}: alpha denominator"):
+            run()
+
+
+def _check_central_kernel_against_object_layer(samples=80, orders=None):
+    cfg, system, phis, ys = _reference_setup(samples=samples, orders=orders)
     n = system.n
     theta_hist, eps, alpha, _ = kernels.central_trajectory(
         phis, ys, np.zeros(n), cfg.init_c, cfg.noise_std**2,
@@ -99,10 +135,11 @@ def _check_central_kernel_against_object_layer(samples=80):
         assert np.allclose(theta_hist[k], state.theta_hat, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("runs", [None, 3], ids=["single", "realizations"])
-def test_central_kernel_is_the_one_block_distributed_kernel(runs):
+@pytest.mark.parametrize("runs, orders", [(None, None), (3, None), (None, WIDE), (3, WIDE)],
+                         ids=["single", "realizations", "single-wide", "realizations-wide"])
+def test_central_kernel_is_the_one_block_distributed_kernel(runs, orders):
     # at gamma = 2, 1/(1/gamma^2) == gamma^2 exactly, so both calls run the same floats
-    cfg, system, phis, ys = _reference_setup(samples=60)
+    cfg, system, phis, ys = _reference_setup(samples=60, orders=orders)
     n = system.n
     if runs is not None:
         ys = ys + np.random.default_rng(7).normal(0.0, 0.1, size=(runs, ys.size))
