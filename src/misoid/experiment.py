@@ -224,7 +224,7 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
 
 
 def write_trajectory_csv(trajectory: Trajectory, path):
-    """Header then one row per step, 17 significant digits per value."""
+    """Header then one row per step, as write_csv_rows writes it."""
     n = trajectory.errors.shape[1]
     header = ["k", "err_norm_sq"] + [f"err_{j + 1}" for j in range(n)] + ["eps", "alpha"]
     columns = [np.arange(trajectory.samples), trajectory.err_norm_sq, trajectory.errors,

@@ -233,6 +233,39 @@ def test_distributed_paths_hold_no_n_by_n_array(run):
     assert peak < system.n**2 * 8 / 2
 
 
+def _stress_floats(case):
+    """About 30 000 to 80 000 floats that stress one step of write_csv_rows' formatter."""
+    rng = np.random.default_rng(25)
+    if case == "random_bits":  # every exponent, both signs, NaN payloads
+        return rng.integers(0, 2**64, size=60_000, dtype=np.uint64).view(np.float64)
+    if case == "powers_of_ten":
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        return np.concatenate([tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf)])
+    if case == "exact_ties":
+        # m * 2**-t with m odd below 2**53 and m * 5**t of 18 digits: the
+        # decimal expansion ends in a 5 just after the 17th digit
+        ties = []
+        for t in range(2, 26):
+            lo, hi = -(-10**17 // 5**t), min(10**18 // 5**t, 2**53)
+            m = rng.integers(lo, hi, size=800) | 1
+            ties.append(m[m < hi] / 2.0**t)
+        ties = np.concatenate(ties)
+        return np.concatenate([ties, -ties, np.nextafter(ties, np.inf),
+                               np.nextafter(ties, -np.inf)])
+    if case == "short_decimals":  # integers, halves and decimals of up to 6 places
+        ints = np.arange(-5000, 5000, dtype=float)
+        decimals = rng.integers(-10**6, 10**6, size=20_000) / 10.0 ** rng.integers(0, 7, 20_000)
+        return np.concatenate([ints, ints / 2, decimals])
+    if case == "notation_switches":  # %g's fixed/exponent edges, 3-digit exponents
+        exps = np.array([-6, -5, -4, -3, 15, 16, 17, 18, -101, -100, -99, 99, 100, 101,
+                         -251, -250, -249, 249, 250, 251])
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-100, 1e100, 1e-250, 1e250])
+        return np.concatenate([rng.uniform(1, 10, 20_000) * 10.0 ** rng.choice(exps, 20_000),
+                               edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    sub = rng.integers(1, 2**52, size=5000, dtype=np.uint64).view(np.float64)  # subnormals
+    return np.concatenate([sub, -sub, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
+
+
 class TestTrajectoryCsv:
     def test_empty_trajectory_header_only(self, tmp_path):
         traj = Trajectory(mode="central", errors=np.zeros((0, 3)),
@@ -332,6 +365,33 @@ class TestTrajectoryCsv:
         assert cols["x"].tobytes() == values.tobytes()  # sign of zero and NaN bits too
         if names is None:
             assert np.array_equal(cols["k"], np.arange(values.size))
+
+    @pytest.mark.parametrize("case", ["random_bits", "powers_of_ten", "exact_ties",
+                                      "short_decimals", "notation_switches", "specials"])
+    def test_writer_bytes_equal_python_percent(self, tmp_path, case):
+        values = _stress_floats(case)
+        rows = values.size // 3
+        block = values[:3 * rows].reshape(rows, 3)
+        ints = np.random.default_rng(3).integers(-2**63, 2**63 - 1, rows, endpoint=True)
+        ints[:1] = -2**63
+        columns = [np.arange(rows), block, block[:, 0] > 0, ints, block[:, 1]]
+        header = ["k", "a", "b", "c", "flag", "int", "d"]
+        path = tmp_path / "stress.csv"
+        slow = write_csv_rows(path, header, columns)
+        flat = [columns[0], *block.T, *columns[2:]]
+        row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in flat)
+        expected = [",".join(header), *(row_fmt % row for row in zip(*(c.tolist() for c in flat)))]
+        assert path.read_text().split("\n") == [*expected, ""]  # lines: a short report
+        if case == "exact_ties":  # every tie is left to Python's %
+            assert slow >= values.size // 2
+        if case == "short_decimals":
+            assert slow == 0
+
+    def test_writer_without_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        assert write_csv_rows(path, ["k", "x", "f"], [np.arange(0), np.zeros((0, 1)),
+                                                     np.zeros(0, dtype=bool)]) == 0
+        assert path.read_text() == "k,x,f\n"
 
     def test_row_count_and_round_trip(self, tmp_path):
         cfg = ExperimentConfig(seed=5, m=2, order_range=(1, 2), samples=25,
