@@ -11,8 +11,9 @@ Library layout:
 - ``distributed``: local nodes, fusion center, round-synchronous protocol
 - ``lyapunov``: decrease monitor for the error dynamics (oracle mode)
 - ``experiment``: seeded systems/signals, side-by-side runs, CSV output
-- ``csvcolumns``: trajectory CSV columns and first crossings, without numpy
+- ``csvcolumns``: the trajectory CSV writer, and the column reader and
+  first crossings, which need no numpy
 - ``kernels``: numpy trajectory loops, the one run path of both estimators
 - ``errors``: the exception classes and the scale rule
-- ``cli``: the ``misoid`` command
+- ``cli``: the ``misoid`` command (``entry``, which runs ``main``)
 """

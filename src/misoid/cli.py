@@ -4,17 +4,21 @@ Subcommands: gen-system, run, monitor, compare.  Exit codes: 0 success,
 1 usage error, 2 runtime/numeric error or an array that cannot be
 allocated, 3 I/O error.  All machine-readable stdout lines are prefixed
 ``info:`` or ``result:``.  Each command imports what it needs when it runs, so
-``compare``, which reads its floats through ``csvcolumns``, loads no numpy.
+``compare``, which reads its floats through ``csvcolumns``, loads no numpy,
+and only ``monitor`` and ``run --monitor`` load ``lyapunov``.
 ``run --mode both`` draws its data once and runs one process per
 estimator: a forked child runs the central estimator and writes its CSV
 while this process does the same for the distributed one.  No CSV is
 written unless both estimators succeed, and every line is printed by
 this process, in mode order.  Importing this module sets
-OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.
+OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.  The ``misoid`` script and
+``python -m misoid.cli`` run ``entry``, which is ``main`` without the cyclic
+garbage collector; ``main`` leaves the collector as it finds it.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -24,7 +28,6 @@ import warnings
 # thread count and so the bytes are unchanged, and an exported value wins
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
-from .csvcolumns import first_crossing, read_columns
 from .errors import MisoidError, ParameterError
 
 EXIT_OK = 0
@@ -300,6 +303,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .csvcolumns import first_crossing, read_columns
+
     if not (math.isfinite(args.threshold_frac) and args.threshold_frac >= 0):
         raise ParameterError(
             f"--threshold-frac={args.threshold_frac!r} is out of range: need a finite value >= 0"
@@ -335,6 +340,23 @@ def main(argv=None) -> int:
     return _guarded(_COMMANDS[args.command], args)
 
 
+def entry() -> int:
+    """main() on this process's arguments, with the cyclic GC off for good.
+
+    The collector is disabled before any command imports numpy, and every
+    object is frozen once main returns, so no collection walks numpy's
+    import graph: not during the imports, not in the forked writer of
+    ``run --mode both``, which inherits the setting, and not at exit, whose
+    last collection skips frozen objects.  Exit handlers and the flushing
+    of stdout and stderr still run.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 def _guarded(fn, *args):
     """fn(*args), or the exit code of the error it raised, printed as one
     ``error:`` line."""
@@ -359,4 +381,4 @@ def _guarded(fn, *args):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -3,18 +3,23 @@
 All randomness flows through seeded numpy PCG64 generators with fixed
 stream labels, so a (config, seed) pair fully determines the system, the
 signals and every trajectory.  The central and distributed estimators in
-one experiment always consume the identical signal realization.
+one experiment always consume the identical signal realization.  The
+Lyapunov monitor and the CSV module are imported by the calls that use
+them, so a run that neither monitors nor writes a file loads neither.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import csvcolumns, kernels
+from . import kernels
 from .errors import DimensionError, NumericError, ParameterError, check_scale
 from .fir import FirModule, MisoSystem, block_offsets
-from .lyapunov import MonitorReport, check_trajectory, write_csv_rows
+
+if TYPE_CHECKING:
+    from .lyapunov import MonitorReport
 
 # stream labels for the seeded sub-generators
 _STREAM_SYSTEM = 0
@@ -169,6 +174,8 @@ def run_estimator(mode, system: MisoSystem, phis, ys, config: ExperimentConfig,
         )
     report = None
     if monitor:
+        from .lyapunov import check_trajectory
+
         report = check_trajectory(mode, errors, phis, alpha, config.noise_std**2, config.init_c,
                                   weights, offsets, gains)
     return Trajectory(mode, errors[1:], eps, alpha, err_norm_sq, report)
@@ -224,7 +231,9 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
 
 
 def write_trajectory_csv(trajectory: Trajectory, path):
-    """Header then one row per step, as write_csv_rows writes it."""
+    """Header then one row per step, as csvcolumns.write_csv_rows writes it."""
+    from .csvcolumns import write_csv_rows
+
     n = trajectory.errors.shape[1]
     header = ["k", "err_norm_sq"] + [f"err_{j + 1}" for j in range(n)] + ["eps", "alpha"]
     columns = [np.arange(trajectory.samples), trajectory.err_norm_sq, trajectory.errors,
@@ -238,6 +247,8 @@ def write_trajectory_csv(trajectory: Trajectory, path):
 
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:
     """csvcolumns.read_columns(path, names), each column a float array."""
+    from .csvcolumns import read_columns
+
     return {name: np.array(column, dtype=float)
-            for name, column in csvcolumns.read_columns(path, names).items()}
+            for name, column in read_columns(path, names).items()}
 

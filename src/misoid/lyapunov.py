@@ -21,11 +21,11 @@ here, since the benchmark and the acceptance test use them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvcolumns import write_csv_rows
 from .errors import DimensionError, NumericError, ParameterError
 from .fir import packed_layout
 
@@ -179,189 +179,6 @@ def check_trajectory(mode: str, errors, phis, alphas, noise_var: float, init_c: 
     }
     names = [name for _, name in MONITOR_COLUMNS]
     return MonitorReport(np.rec.fromarrays([cols[name] for name in names], names=names))
-
-
-#: values formatted per block by write_csv_rows
-CSV_BLOCK = 8192
-#: 2**27 + 1: Dekker's split of a double into two halves of 26 bits
-_SPLIT = 134217729.0
-#: bytes of one float's text template (see _FloatText.fields)
-_FIELD = 30
-
-
-def _split(x):
-    t = x * _SPLIT
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-class _FloatText:
-    """``%.17g`` text of float64 values, whole blocks at a time.
-
-    Holds the (hi, lo) double pairs of the powers of ten a file needs:
-    hi is 10**s correctly rounded and lo the rest, correctly rounded, so
-    hi + lo is 10**s to about 2**-106.  Pairs are built on first use.
-    """
-
-    def __init__(self):
-        self.hi, self.lo = np.zeros(540), np.zeros(540)  # index s + 270
-        self.have = np.zeros(540, dtype=bool)
-        self.special = np.array([list(("%.17g" % v).encode().ljust(_FIELD - 1, b"\0"))
-                                 for v in (0.0, -0.0, math.inf, -math.inf, math.nan)], np.uint8)
-
-    def _pow10(self, s):
-        i = s + 270
-        used = np.zeros(540, dtype=bool)  # not np.unique, whose first call imports numpy.ma
-        used[i] = True
-        for j in np.flatnonzero(used & ~self.have).tolist():
-            num, den = (10 ** (j - 270), 1) if j >= 270 else (1, 10 ** (270 - j))
-            hi = num / den  # int true division rounds correctly
-            n, d = hi.as_integer_ratio()
-            self.hi[j], self.lo[j], self.have[j] = hi, (num * d - n * den) / (den * d), True
-        return self.hi[i], self.lo[i]
-
-    def _digits(self, a, s):
-        """D = round(a * 10**s) as int64; whether a * 10**s < 1e16; whether it is near a tie.
-
-        Dekker's split gives a * hi = p + err exactly, so a * 10**s is
-        p + err + a * lo up to about 1e-14 when it lies below 1e18.
-        """
-        hi, lo = self._pow10(s)
-        p = a * hi
-        ah, al = _split(a)
-        hh, hl = _split(hi)
-        whole = np.floor(p)
-        rest = (p - whole) + ((((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo)
-        near = np.floor(rest + 0.5)
-        whole = whole.astype(np.int64)
-        return (whole + near.astype(np.int64), whole + np.floor(rest).astype(np.int64) < 10**16,
-                np.abs(rest - near) > 0.5 - 1e-6)
-
-    def fields(self, x):
-        """(_FIELD, x.size) uint8 templates of x's texts, one column per value, and the
-        number of values that Python's ``%`` formatted.
-
-        A column holds the sign, a "0.000" prefix, the 17 digits of D with a
-        point slot among them, "e+XXX" and a separator slot.  Unused bytes
-        are NUL.
-        """
-        a = np.abs(x)
-        direct = (a >= 1e-250) & (a <= 1e250)  # the split product neither underflows nor overflows
-        a = np.where(direct, a, 1.0)
-        e = np.floor(np.log10(a)).astype(np.int64)  # wrong by one at most, near 10**e
-        d, low, tie = self._digits(a, 16 - e)
-        off = low | (d > 10**17)
-        if off.any():
-            e[off] += np.where(low[off], -1, 1)
-            d[off], _, tie[off] = self._digits(a[off], 16 - e[off])
-        top = d == 10**17  # rounding carried into an 18th digit
-        e = (e + top).astype(np.int16)
-        d[top] = 10**16
-        high = d // 10**9
-        halves = np.stack([high, d - high * 10**9]).astype(np.uint32)  # 8 and 9 digits
-        dig = np.empty((18, x.size), np.uint8)  # dig[1:] are D's 17 digits
-        for i in range(8, -1, -1):
-            q = halves // 10
-            dig[i::9] = halves - q * 10
-            halves = q
-        dig = dig[1:]
-        # the selections below are uint8 arithmetic: np.where is slow on bytes
-        col = np.arange(18, dtype=np.int16)[:, None]
-        last = ((dig != 0) * col[:17]).max(axis=0)  # %g drops zeros after the last nonzero digit
-        fixed = (e >= -4) & (e <= 16)
-        lead = fixed & (e < 0)  # 0.000ddd
-        before = np.where(fixed, np.maximum(e, -1), 0)  # digits 0..before precede the point
-        out = np.empty((_FIELD, x.size), np.uint8)
-        out[0] = 45 * (x < 0)
-        out[1], out[2] = 48 * lead, 46 * lead
-        out[3:6] = 48 * (lead & (e <= -col[2:5]))
-        area = out[6:24]  # digits 0..unmoved, then the point slot, then the other digits
-        area[:17] = (dig + 48) * (col[:17] <= np.maximum(last, before))
-        area[17] = 0
-        unmoved = np.where(lead, 16, before)
-        area += (np.roll(area, 1, axis=0) - area) * (col > unmoved)
-        area += (np.uint8(46) * ((last > before) & ~lead) - area) * (col == unmoved + 1)
-        expo, ae = ~fixed, np.abs(e)
-        out[24], out[25] = 101 * expo, (43 + 2 * (e < 0)) * expo
-        out[26] = (48 + ae // 100) * (expo & (ae >= 100))
-        out[27], out[28] = (48 + ae // 10 % 10) * expo, (48 + ae % 10) * expo
-        special = np.flatnonzero(~np.isfinite(x) | (x == 0))
-        if special.size:
-            v = x[special]
-            out[:-1, special] = self.special[np.where(v == 0, np.signbit(v),
-                                                      np.where(np.isnan(v), 4, 2 + (v < 0)))].T
-        slow = np.flatnonzero(tie | ~direct & np.isfinite(x) & (x != 0))
-        for i in slow.tolist():
-            out[:-1, i] = list(("%.17g" % x[i]).encode().ljust(_FIELD - 1, b"\0"))
-        return out, slow.size
-
-
-def _int_fields(v):
-    """(width + 2, v.size) uint8 ``%d`` templates: sign, digits, separator slot."""
-    mag = np.abs(v.astype(np.int64)).astype(np.uint64)
-    width = len(str(int(mag.max()))) if v.size else 1
-    out = np.empty((width + 2, v.size), np.uint8)
-    out[0] = 45 * (v < 0)
-    for i in range(width, 0, -1):
-        q = mag // 10
-        out[i] = (48 + mag - q * 10) * ((mag > 0) | (i == width))
-        mag = q
-    return out
-
-
-def write_csv_rows(path, header, columns):
-    """Header then one row per step, in the text of Python's ``%``.
-
-    columns are 1-D arrays or 2-D arrays of several columns, one row per
-    step.  Integer and flag columns are written with ``%d``, floats with
-    ``%.17g``, which is the same text as ``format(x, '.17g')``, inf, nan
-    and -0 included, and the file's bytes are those of
-    ``"%.17g,%d,...\\n" % row`` for every row.  Returns how many floats
-    were formatted by ``%`` itself.
-
-    Floats are formatted in numpy, CSV_BLOCK values at a time.  With
-    X = floor(log10|x|), the 17 digits D = round(|x| * 10**(16 - X)) come
-    from an error-free product of x with a double pair for 10**(16 - X)
-    (Dekker 1971), whose error is far below 1e-6 of a unit of D, and X is
-    corrected when D falls outside [1e16, 1e17).  The text is then laid
-    out from a byte template as %g does.  Python's ``%`` formats a value
-    only where the product cannot certify the rounding: D's fraction lies
-    within 1e-6 of 1/2 (ties round half to even), or |x| lies outside
-    [1e-250, 1e250], where the split product could underflow or overflow.
-    """
-    runs = []  # consecutive float or integer columns, as one 2-D array each
-    for col in columns:
-        col = np.asarray(col)
-        col = col.reshape(len(col), math.prod(col.shape[1:]))
-        if runs and runs[-1][0] == (col.dtype.kind == "f"):
-            runs[-1][1].append(col)
-        else:
-            runs.append((col.dtype.kind == "f", [col]))
-    runs = [(isfloat, np.hstack(cols).astype(float if isfloat else np.int64))
-            for isfloat, cols in runs]
-    n_rows = len(columns[0])
-    step = max(1, CSV_BLOCK // sum(arr.shape[1] for _, arr in runs))
-    text = _FloatText()
-    n_slow = 0
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, step):
-            parts = []
-            for isfloat, arr in runs:
-                block = arr[start:start + step]
-                if isfloat:
-                    fields, slow = text.fields(block.ravel())
-                    n_slow += slow
-                else:
-                    fields = _int_fields(block.ravel())
-                fields[-1] = 44
-                # (bytes, rows, columns) to rows of fields
-                parts.append(fields.reshape(len(fields), *block.shape).transpose(1, 2, 0)
-                             .reshape(len(block), -1))
-            rows = np.concatenate(parts, axis=1)
-            rows[:, -1] = 10
-            fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
-    return n_slow
 
 
 def write_monitor_csv(report: MonitorReport, path):

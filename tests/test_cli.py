@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -31,17 +32,18 @@ from misoid.fir import load_system
 from misoid.lyapunov import MONITOR_COLUMNS
 
 
-def _python(*args, **env_vars):
+def _python(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env_vars):
     """A fresh interpreter run with args, importing misoid from this source tree.
 
+    Its stdout and stderr are captured as text unless files are given.
     env_vars are set in its environment, or left out of it where they are None.
     """
     src = os.path.dirname(os.path.dirname(misoid.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env_vars)
     env = {key: value for key, value in env.items() if value is not None}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          check=False)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr, text=True,
+                          env=env, check=False)
 
 
 def _gen_system(tmp_path, name="sys.json", modules=2, max_order=2, seed=0):
@@ -321,6 +323,67 @@ class TestRunWriters:
         assert proc.stdout.count("info: wrote") == 2
 
 
+class TestEntry:
+    """The misoid process runs cli.entry: main with the cyclic GC off, and
+    every object frozen at exit; main itself leaves the collector alone."""
+
+    @pytest.mark.parametrize("command", ["run", "monitor", "compare"])
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys, command):
+        system = _gen_system(tmp_path)
+        argv = _run_argv(system, "both", tmp_path / "x", monitor=True)
+        if command == "monitor":
+            argv = ["monitor", "--system", str(system), "--mode", "distributed",
+                    "--samples", "17", "--out", str(tmp_path / "m.csv")]
+        elif command == "compare":
+            assert main(argv) == 0
+            argv = ["compare", "--a", str(tmp_path / "x-central.csv"),
+                    "--b", str(tmp_path / "x-distributed.csv")]
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(argv) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_entry_collects_nothing_and_freezes(self, tmp_path):
+        system = _gen_system(tmp_path)
+        argv = _run_argv(system, "both", tmp_path / "x", samples=400, monitor=True)
+        code = ("import gc, sys; from misoid.cli import entry; sys.argv[1:] = %r; "
+                "runs = [s['collections'] for s in gc.get_stats()]; code = entry(); "
+                "print(runs == [s['collections'] for s in gc.get_stats()], gc.isenabled(), "
+                "gc.get_freeze_count() > 0, file=sys.stderr); sys.exit(code)" % argv)
+        proc = _python("-c", code)
+        assert proc.returncode == 0 and proc.stdout.count("info: wrote") == 2
+        assert proc.stderr == "True False True\n"
+
+    @pytest.mark.parametrize("case", ["monitor", "exit-2", "exit-3"])
+    def test_process_prints_and_writes_what_main_does(self, tmp_path, capfd, case):
+        # stdout to a file is block-buffered unless PYTHONUNBUFFERED is set, so
+        # what main printed reaches it only when the frozen process flushes at exit
+        if case == "exit-2":
+            system = _gen_system(tmp_path, modules=20, max_order=3, seed=5)
+            argv = _run_argv(system, "both", tmp_path / "x", samples=300) + [
+                "--gamma", "1e-3", "--init-c", "1e8", "--seed", "5"]
+        else:
+            system = _gen_system(tmp_path)
+            prefix = tmp_path / ("x" if case == "monitor" else "nodir/x")
+            argv = _run_argv(system, "both", prefix, samples=200, monitor=True)
+        paths = [tmp_path / f"x-{mode}.csv" for mode in ("central", "distributed")]
+        capfd.readouterr()
+        code = main(argv)
+        expected = capfd.readouterr()
+        written = [path.read_bytes() for path in paths if path.exists()]
+        for path in paths:
+            path.unlink(missing_ok=True)
+        with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+            proc = _python("-m", "misoid.cli", *argv, stdout=out, stderr=err,
+                           PYTHONUNBUFFERED=None)
+        assert code == {"monitor": 0, "exit-2": 2, "exit-3": 3}[case]
+        assert proc.returncode == code
+        assert (tmp_path / "out").read_text() == expected.out
+        assert (tmp_path / "err").read_text() == expected.err
+        assert [path.read_bytes() for path in paths if path.exists()] == written
+        assert len(written) == (2 if case == "monitor" else 0)
+        assert len(expected.err.splitlines()) == (0 if case == "monitor" else 1)
+
+
 def test_system_file_with_long_module_runs(tmp_path):
     # a 65-tap module lies outside random_system's order range, not the file format's
     path = tmp_path / "long.json"
@@ -511,6 +574,22 @@ class TestCompare:
                              "'OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules)",
                        OPENBLAS_THREAD_TIMEOUT=exported)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{seen} False\n", "")
+
+    # the monitor and the CSV module load only in the commands that run them
+    @pytest.mark.parametrize("statement, loaded", [
+        ("import misoid.cli", "False False False"),
+        ("import misoid.csvcolumns", "False True False"),
+        ("import misoid.experiment", "True False False"),
+        ("from misoid.cli import main; main(RUN)", "True True False"),
+        ("from misoid.cli import main; main(RUN + ['--monitor'])", "True True True"),
+    ], ids=["cli", "csvcolumns", "experiment", "run", "run-monitor"])
+    def test_each_command_imports_what_it_runs(self, tmp_path, statement, loaded):
+        argv = _run_argv(_gen_system(tmp_path), "both", tmp_path / "x")
+        proc = _python("-c", f"import sys; RUN = {argv!r}; {statement}; print(*(name in "
+                             "sys.modules for name in ('numpy', 'misoid.csvcolumns', "
+                             "'misoid.lyapunov')))")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == loaded
 
     def test_unread_column_is_not_parsed(self, tmp_path, capsys):
         # a full read rejects the dirty file (test_malformed_csv_names_the_file)

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from misoid import experiment, kernels
-from misoid.csvcolumns import first_crossing
+from misoid import experiment, kernels, lyapunov
+from misoid.csvcolumns import first_crossing, write_csv_rows
 from misoid.errors import NumericError, ParameterError
 from misoid.experiment import (
     ExperimentConfig,
@@ -21,7 +21,6 @@ from misoid.experiment import (
     write_trajectory_csv,
 )
 from misoid.fir import FirModule, MisoSystem, block_offsets
-from misoid.lyapunov import write_csv_rows
 
 
 class TestRandomSystem:
@@ -137,7 +136,7 @@ class TestRunExperiment:
         def monitor_must_not_run(*args):
             raise AssertionError("the monitor ran on an overflowed error history")
 
-        monkeypatch.setattr(experiment, "check_trajectory", monitor_must_not_run)
+        monkeypatch.setattr(lyapunov, "check_trajectory", monitor_must_not_run)
         system = MisoSystem((FirModule([1e200, -1e200]), FirModule([1e200])))
         cfg = ExperimentConfig(noise_std=0.0, samples=20)
         inputs, noise = generate_signals(system, cfg)
