@@ -8,9 +8,10 @@ allocated, 3 I/O error.  All machine-readable stdout lines are prefixed
 and only ``monitor`` and ``run --monitor`` load ``lyapunov``.
 ``run --mode both`` draws its data once and runs one process per
 estimator: a forked child runs the central estimator and writes its CSV
-while this process does the same for the distributed one.  No CSV is
-written unless both estimators succeed, and every line is printed by
-this process, in mode order.  Importing this module sets
+to a temporary file beside its target while this process does the same
+for the distributed one.  The temporaries are renamed onto their targets
+only when both succeed, and every line is printed by this process, in
+mode order.  Importing this module sets
 OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.  The ``misoid`` script and
 ``python -m misoid.cli`` run ``entry``, which is ``main`` without the cyclic
 garbage collector; ``main`` leaves the collector as it finds it.
@@ -121,85 +122,45 @@ def cmd_gen_system(args) -> int:
     return EXIT_OK
 
 
-def _stages(mode, system, phis, ys, config, monitor, path):
-    """mode's estimator, with its monitor if asked; once resumed, its CSV
-    and the lines that report it."""
-    from . import experiment  # the writer is looked up when it runs
-
-    traj = experiment.run_estimator(mode, system, phis, ys, config, monitor)
-    yield
-    experiment.write_trajectory_csv(traj, path)
-    print(f"info: wrote {path}")
-    if traj.samples:
-        print(f"result: {mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}")
-
-
-def _next_stage(stages):
-    """Run stages to its next pause under main's error mapping: the exit
-    code, and the stdout and stderr it would have printed."""
+def _job(mode, system, phis, ys, config, monitor, target, temp):
+    """mode's estimator, with its monitor if asked, and its CSV written to
+    temp, under main's error mapping: the exit code, and the stdout and
+    stderr it would print.  An I/O error on temp names target."""
     import contextlib
     import io
 
+    from . import experiment  # the writer is looked up when it runs
+
+    def estimate():
+        traj = experiment.run_estimator(mode, system, phis, ys, config, monitor)
+        try:
+            experiment.write_trajectory_csv(traj, temp)
+        except OSError as exc:
+            if exc.filename == temp:
+                exc.filename = target
+            raise
+        print(f"info: wrote {target}")
+        if traj.samples:
+            print(f"result: {mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}")
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = _guarded(next, stages, None)
+        code = _guarded(estimate)
     return code or EXIT_OK, out.getvalue(), err.getvalue()
 
 
-class _Run:
-    """One estimator's stages, run in this process or in a forked child.
+def _fork_writer(job):
+    """Fork a child that runs job; return its pid and this process's end of
+    the pipe it reports on, or None when this process cannot fork, and then
+    it runs job itself.
 
-    outcome() runs, or waits for, the next stage and returns its
-    (exit code, stdout, stderr), or an OSError when the child ended
-    without reporting; resume(go) lets a child go on to its CSV stage or
-    end; close() reaps the child.
-    """
-
-    def __init__(self, stages, path, fork: bool):
-        self.stages, self.path = stages, path
-        self.pid, self.reports, self.go = (fork and _fork_writer(stages)) or (None, None, None)
-
-    def outcome(self):
-        if self.pid is None:
-            return _next_stage(self.stages)
-        import json
-
-        line = self.reports.readline()
-        if line:
-            return json.loads(line)
-        code = self.close()
-        how = f"was ended by signal {-code}" if code < 0 else f"ended with exit code {code}"
-        return OSError(f"the writer of {self.path} {how}")
-
-    def resume(self, go: bool):
-        if self.pid is not None:
-            self.go.write(b"1" if go else b"0")
-            self.go.close()
-
-    def close(self):
-        """Close the pipes and reap the child, if any: its exit code."""
-        if self.pid is None:
-            return None
-        self.go.close()
-        self.reports.close()
-        pid, self.pid = self.pid, None
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _fork_writer(stages):
-    """Fork a child that runs stages, which write a CSV; return its pid
-    with this process's ends of its report and go pipes, or None when this
-    process cannot fork, and then it runs the stages itself.
-
-    The child reports each stage's outcome on a pipe as one JSON line: the
-    exit code, and what it would print through main's mapping, or a
-    traceback and exit 1 for an unexpected error.  After the estimator it
-    waits on a second pipe for this process's go, so no CSV is written when
-    any estimator fails.  It prints nothing itself and leaves through
+    The child reports job's outcome as one JSON line, or a traceback and
+    exit 1 for an unexpected error.  It prints nothing and leaves through
     os._exit, so nothing of the caller (buffered stdout, exit handlers, a
     test runner's teardown) runs or flushes in it.  OpenBLAS joins its
     worker threads at fork, so the process forks with one thread.
     """
+    import json
     import signal  # here, not at the top: building its enums costs about 1 ms
 
     try:
@@ -208,76 +169,81 @@ def _fork_writer(stages):
             return None
     except AttributeError:  # no SIGCHLD on this platform
         return None
-    report_r, report_w = os.pipe()
-    go_r, go_w = os.pipe()
+    reports, report = os.pipe()
     try:
         pid = os.fork()
     except (AttributeError, OSError):  # no os.fork on this platform, or fork() failed
-        for fd in (report_r, report_w, go_r, go_w):
-            os.close(fd)
+        os.close(reports)
+        os.close(report)
         return None
     if pid == 0:
         code = 1
         try:
-            os.close(report_r)
-            os.close(go_w)
-            with os.fdopen(report_w, "w") as reports, os.fdopen(go_r, "rb") as go:
-                _report(stages, reports)
-                if go.read(1) == b"1":
-                    _report(stages, reports)
+            os.close(reports)
+            try:
+                outcome = job()
+            except BaseException:  # ends the job as it would end a process
+                import traceback
+
+                outcome = (1, "", traceback.format_exc())
+            with os.fdopen(report, "w") as pipe:
+                pipe.write(json.dumps(outcome) + "\n")
             code = EXIT_OK
         finally:
             os._exit(code)
-    os.close(report_w)
-    os.close(go_r)
-    return pid, os.fdopen(report_r, "rb"), os.fdopen(go_w, "wb")
-
-
-def _report(stages, reports):
-    """Run the next stage in a forked child and write its outcome to reports."""
-    import json
-
-    try:
-        outcome = _next_stage(stages)
-    except BaseException:  # ends the stage as it would end a process: traceback, exit 1
-        import traceback
-
-        outcome = (1, "", traceback.format_exc())
-    reports.write(json.dumps(outcome) + "\n")
-    reports.flush()
+    os.close(report)
+    return pid, os.fdopen(reports, "rb")
 
 
 def cmd_run(args) -> int:
+    import functools
+    import json
+
     system, phis, ys, config = _draw(args)
-    # every estimator but the last runs in a forked child while this process
-    # runs the last; each reports its estimator, the CSVs are written only
-    # when all succeeded, and then everything is printed here in mode order,
-    # up to the first failure, whose error alone is printed
-    runs, written = [], []
+    # each job writes its CSV to a temporary beside its target, all but the
+    # last in a forked child; the temporaries are renamed onto their targets,
+    # in mode order, only when every job succeeded; else the first failure is printed
+    targets = [f"{args.out_prefix}-{mode}.csv" for mode in config.modes]
+    temps = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    jobs = [functools.partial(_job, mode, system, phis, ys, config, args.monitor, target, temp)
+            for mode, target, temp in zip(config.modes, targets, temps)]
+    children, codes = {}, {}  # each forked job's pid and report pipe, and exit code
     try:
-        for i, mode in enumerate(config.modes):
-            path = f"{args.out_prefix}-{mode}.csv"
-            stages = _stages(mode, system, phis, ys, config, args.monitor, path)
-            runs.append(_Run(stages, path, fork=i < len(config.modes) - 1))
-        # this process runs its own stage before it waits for a child's
-        estimated = [run.outcome() for run in reversed(runs)][::-1]
-        go = not any(isinstance(outcome, OSError) or outcome[0] for outcome in estimated)
-        for run in runs:
-            run.resume(go)
-        if go:
-            written = [run.outcome() for run in reversed(runs)][::-1]
+        try:
+            for i, job in enumerate(jobs[:-1]):
+                if child := _fork_writer(job):
+                    children[i] = child
+            outcomes = [None if i in children else job() for i, job in enumerate(jobs)]
+            for i, (_, reports) in children.items():
+                outcomes[i] = reports.readline()
+        finally:
+            # no child is left, nor writes, once the temporaries are removed
+            for i, (pid, reports) in children.items():
+                reports.close()
+                codes[i] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        for i, code in codes.items():
+            how = f"was ended by signal {-code}" if code < 0 else f"ended with exit code {code}"
+            outcomes[i] = json.loads(outcomes[i]) if outcomes[i] else (
+                EXIT_IO, "", f"error: I/O failure: the writer of {targets[i]} {how}\n")
+        for code, out, err in outcomes:
+            if code:
+                sys.stdout.write(out)
+                sys.stderr.write(err)
+                return code
+        for temp, target, (_, out, err) in zip(temps, targets, outcomes):
+            try:
+                os.replace(temp, target)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, target) from None
+            sys.stdout.write(out)
+            sys.stderr.write(err)
+        return EXIT_OK
     finally:
-        for run in runs:
-            run.close()
-    for outcome in estimated + written:
-        if isinstance(outcome, OSError):
-            raise outcome
-        code, out, err = outcome
-        sys.stdout.write(out)
-        sys.stderr.write(err)
-        if code:
-            return code
-    return EXIT_OK
+        for temp in temps:
+            try:
+                os.unlink(temp)
+            except OSError:  # renamed, or never written
+                pass
 
 
 def cmd_monitor(args) -> int:

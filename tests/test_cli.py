@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -179,6 +180,10 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _no_temporary_left(directory):
+    assert not list(directory.glob("*.tmp"))
+
+
 def _run_argv(system, mode, prefix, samples=17, monitor=False):
     return ["run", "--system", str(system), "--mode", mode, "--samples", str(samples),
             "--sigma", "0", "--seed", "1", "--out-prefix", str(prefix)] + (
@@ -187,7 +192,9 @@ def _run_argv(system, mode, prefix, samples=17, monitor=False):
 
 class TestRunWriters:
     """run --mode both runs the central estimator and writes its CSV in a
-    forked child while it runs the distributed one and writes that itself."""
+    forked child while it runs the distributed one and writes that itself;
+    each CSV goes to a temporary that is renamed onto its target only when
+    both succeeded."""
 
     @pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
     @pytest.mark.parametrize("samples", [0, 1, 17, 400])
@@ -204,6 +211,7 @@ class TestRunWriters:
             one = (tmp_path / f"one-{mode}.csv").read_bytes()
             assert (tmp_path / f"both-{mode}.csv").read_bytes() == one
         assert both_out == single_out.replace(str(tmp_path / "one"), str(tmp_path / "both"))
+        _no_temporary_left(tmp_path)
 
     @pytest.mark.parametrize("failing", ["nodir", "central", "distributed"])
     def test_failure_names_first_failing_file_once(self, tmp_path, capfd, failing):
@@ -221,6 +229,7 @@ class TestRunWriters:
         assert len(lines) == 1 and lines[0].startswith("error: I/O failure: ")
         assert lines[0].endswith(f"x-{first}.csv'")
         assert "Traceback" not in err
+        _no_temporary_left(tmp_path)
         if failing == "distributed":
             assert out.startswith(f"info: wrote {prefix}-central.csv\n")
             assert main(_run_argv(system, "central", tmp_path / "one")) == 0
@@ -275,6 +284,7 @@ class TestRunWriters:
         out, err = capfd.readouterr()
         lines = err.splitlines()
         assert out == "" and lines[-1] == text.format(prefix=prefix)
+        _no_temporary_left(tmp_path)
         # an unexpected error ends the child as it ends a process: traceback, exit 1
         assert lines[0] == "Traceback (most recent call last):" if code == 1 else len(lines) == 1
 
@@ -303,6 +313,70 @@ class TestRunWriters:
         assert main(_run_argv(system, "both", tmp_path / "nodir")) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
+        _no_temporary_left(tmp_path)
+
+    @pytest.mark.parametrize("mode,failing,end", [
+        ("central", "central", "enospc"), ("distributed", "distributed", "enospc"),
+        ("both", "central", "enospc"), ("both", "distributed", "enospc"),
+        ("both", "central", "sigkill"),
+    ], ids=["central", "distributed", "both-central", "both-distributed", "both-killed"])
+    def test_partly_written_csv_leaves_no_file(self, tmp_path, capfd, monkeypatch, mode,
+                                               failing, end):
+        # the writer writes part of its file, then runs out of room or is
+        # killed: no file is left at either target, nor a temporary
+        write = misoid.experiment.write_trajectory_csv
+
+        def partial_write(traj, path):
+            if traj.mode != failing:
+                return write(traj, path)
+            with open(path, "w") as fh:
+                fh.write("k,err_norm_sq\n0,")
+            if end == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(misoid.experiment, "write_trajectory_csv", partial_write)
+        system = _gen_system(tmp_path)
+        capfd.readouterr()
+        prefix = tmp_path / "x"
+        assert main(_run_argv(system, mode, prefix)) == 3
+        _no_child_left()
+        out, err = capfd.readouterr()
+        target = f"{prefix}-{failing}.csv"
+        assert out == "" and err == ("error: I/O failure: " + (
+            f"the writer of {target} was ended by signal 9" if end == "sigkill"
+            else f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'") + "\n")
+        assert not list(tmp_path.glob("x-*"))
+
+    def test_interrupt_reaps_the_child_and_removes_temporaries(self, tmp_path, monkeypatch):
+        # this process's own kernel is interrupted while the child runs central
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(misoid.kernels, "distributed_trajectory", interrupted)
+        system = _gen_system(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            main(_run_argv(system, "both", tmp_path / "x", samples=400))
+        _no_child_left()
+        assert not list(tmp_path.glob("x-*"))
+
+    def test_targets_are_replaced_by_rename(self, tmp_path):
+        # a link at a target is replaced, not written through, and the new
+        # file's mode follows the umask, not the old file's
+        system = _gen_system(tmp_path)
+        elsewhere = tmp_path / "elsewhere.csv"
+        elsewhere.write_text("kept\n")
+        (tmp_path / "x-central.csv").symlink_to(elsewhere)
+        (tmp_path / "x-distributed.csv").write_text("old\n")
+        (tmp_path / "x-distributed.csv").chmod(0o600)
+        assert main(_run_argv(system, "both", tmp_path / "x")) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        for mode in ("central", "distributed"):
+            target = tmp_path / f"x-{mode}.csv"
+            assert not target.is_symlink() and target.read_text().startswith("k,")
+            assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert elsewhere.read_text() == "kept\n"
 
     def test_no_warning(self, tmp_path):
         # Python 3.12 warns when a process with threads forks
