@@ -2,9 +2,10 @@
 
 The reader returns float lists and needs no numpy, so ``misoid compare``
 needs only this module; ``experiment``'s reader wraps ``read_columns`` for
-numpy callers.  The writer, ``write_csv_rows``, formats numpy arrays and
-imports numpy in each function it runs, so importing this module loads no
-numpy.
+numpy callers.  The writer, ``write_csv_rows``, writes every value of its
+numpy arrays as ``%.17g`` of its float, which for the step index and the
+0/1 flags is their ``%d`` text, exact up to magnitude 2**53.  It imports
+numpy in each function it runs, so importing this module loads no numpy.
 """
 from __future__ import annotations
 
@@ -228,32 +229,18 @@ class _FloatText:
         return out, slow.size
 
 
-def _int_fields(v):
-    """(width + 2, v.size) uint8 ``%d`` templates: sign, digits, separator slot."""
-    import numpy as np
-
-    mag = np.abs(v.astype(np.int64)).astype(np.uint64)
-    width = len(str(int(mag.max()))) if v.size else 1
-    out = np.empty((width + 2, v.size), np.uint8)
-    out[0] = 45 * (v < 0)
-    for i in range(width, 0, -1):
-        q = mag // 10
-        out[i] = (48 + mag - q * 10) * ((mag > 0) | (i == width))
-        mag = q
-    return out
-
-
 def write_csv_rows(path, header, columns):
     """Header then one row per step, in the text of Python's ``%``.
 
     columns are 1-D arrays or 2-D arrays of several columns, one row per
-    step.  Integer and flag columns are written with ``%d``, floats with
-    ``%.17g``, which is the same text as ``format(x, '.17g')``, inf, nan
-    and -0 included, and the file's bytes are those of
-    ``"%.17g,%d,...\\n" % row`` for every row.  Returns how many floats
-    were formatted by ``%`` itself.
+    step.  Every value is written as ``%.17g`` of its float, which is the
+    same text as ``format(x, '.17g')``, inf, nan and -0 included, and the
+    file's bytes are those of ``"%.17g,%.17g,...\\n" % row`` for every
+    row.  For the step index and 0/1 flag columns that text is their
+    ``%d`` text, as for every integer of magnitude up to 2**53.  Returns
+    how many values were formatted by ``%`` itself.
 
-    Floats are formatted in numpy, CSV_BLOCK values at a time.  With
+    Values are formatted in numpy, CSV_BLOCK at a time.  With
     X = floor(log10|x|), the 17 digits D = round(|x| * 10**(16 - X)) come
     from an error-free product of x with a double pair for 10**(16 - X)
     (Dekker 1971), whose error is far below 1e-6 of a unit of D, and X is
@@ -265,36 +252,19 @@ def write_csv_rows(path, header, columns):
     """
     import numpy as np
 
-    runs = []  # consecutive float or integer columns, as one 2-D array each
-    for col in columns:
-        col = np.asarray(col)
-        col = col.reshape(len(col), math.prod(col.shape[1:]))
-        if runs and runs[-1][0] == (col.dtype.kind == "f"):
-            runs[-1][1].append(col)
-        else:
-            runs.append((col.dtype.kind == "f", [col]))
-    runs = [(isfloat, np.hstack(cols).astype(float if isfloat else np.int64))
-            for isfloat, cols in runs]
-    n_rows = len(columns[0])
-    step = max(1, CSV_BLOCK // sum(arr.shape[1] for _, arr in runs))
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    values = np.hstack([col.reshape(len(col), math.prod(col.shape[1:])) for col in cols])
+    step = max(1, CSV_BLOCK // values.shape[1])
     text = _FloatText()
     n_slow = 0
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, step):
-            parts = []
-            for isfloat, arr in runs:
-                block = arr[start:start + step]
-                if isfloat:
-                    fields, slow = text.fields(block.ravel())
-                    n_slow += slow
-                else:
-                    fields = _int_fields(block.ravel())
-                fields[-1] = 44
-                # (bytes, rows, columns) to rows of fields
-                parts.append(fields.reshape(len(fields), *block.shape).transpose(1, 2, 0)
-                             .reshape(len(block), -1))
-            rows = np.concatenate(parts, axis=1)
+        for start in range(0, len(values), step):
+            block = values[start:start + step]
+            fields, slow = text.fields(block.ravel())
+            n_slow += slow
+            fields[-1] = 44
+            rows = fields.T.reshape(len(block), -1)  # row-major values to rows of fields
             rows[:, -1] = 10
             fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
     return n_slow

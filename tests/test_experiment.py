@@ -371,10 +371,12 @@ class TestTrajectoryCsv:
         values = _stress_floats(case)
         rows = values.size // 3
         block = values[:3 * rows].reshape(rows, 3)
-        ints = np.random.default_rng(3).integers(-2**63, 2**63 - 1, rows, endpoint=True)
-        ints[:1] = -2**63
-        columns = [np.arange(rows), block, block[:, 0] > 0, ints, block[:, 1]]
-        header = ["k", "a", "b", "c", "flag", "int", "d"]
+        ints = np.random.default_rng(3).integers(-2**53, 2**53, rows, endpoint=True)
+        ints[:4] = -2**53, 2**53, 0, -1  # the writer's integers are exact up to 2**53
+        steps = np.arange(rows) + 10**6 - rows // 2  # a step index running past 10**6
+        both = np.arange(rows) % 2 == 0  # a flag holding both values
+        columns = [np.arange(rows), block, block[:, 0] > 0, ints, block[:, 1], steps, both]
+        header = ["k", "a", "b", "c", "flag", "int", "d", "step", "both"]
         path = tmp_path / "stress.csv"
         slow = write_csv_rows(path, header, columns)
         flat = [columns[0], *block.T, *columns[2:]]
