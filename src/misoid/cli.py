@@ -6,15 +6,16 @@ allocated, 3 I/O error.  All machine-readable stdout lines are prefixed
 ``info:`` or ``result:``.  Each command imports what it needs when it runs, so
 ``compare``, which reads its floats through ``csvcolumns``, loads no numpy,
 and only ``monitor`` and ``run --monitor`` load ``lyapunov``.
-``run --mode both`` draws its data once and runs one process per
-estimator: a forked child runs the central estimator and writes its CSV
-to a temporary file beside its target while this process does the same
-for the distributed one.  The temporaries are renamed onto their targets
-only when both succeed, and every line is printed by this process, in
-mode order.  Importing this module sets
-OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.  The ``misoid`` script and
-``python -m misoid.cli`` run ``entry``, which is ``main`` without the cyclic
-garbage collector; ``main`` leaves the collector as it finds it.
+``run`` and ``monitor`` draw their data once, and each estimator writes
+its CSV to a temporary ``<target>.<pid>.tmp``; the temporaries are renamed
+onto their targets only when every estimator and write succeeded, and
+every line is printed by this process, in mode order.  ``run --mode both``
+runs the central estimator in a forked child, which reports its exit code
+through its exit status and its lines through a pipe.  Importing this
+module sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.  The
+``misoid`` script and ``python -m misoid.cli`` run ``entry``, which is
+``main`` without the cyclic garbage collector; ``main`` leaves the
+collector as it finds it.
 """
 from __future__ import annotations
 
@@ -122,45 +123,18 @@ def cmd_gen_system(args) -> int:
     return EXIT_OK
 
 
-def _job(mode, system, phis, ys, config, monitor, target, temp):
-    """mode's estimator, with its monitor if asked, and its CSV written to
-    temp, under main's error mapping: the exit code, and the stdout and
-    stderr it would print.  An I/O error on temp names target."""
-    import contextlib
-    import io
+def _fork(job, *args):
+    """Fork a child that runs job(*args); return its pid and this process's
+    end of the pipe it reports on, or None when this process cannot fork,
+    and then it runs job itself.
 
-    from . import experiment  # the writer is looked up when it runs
-
-    def estimate():
-        traj = experiment.run_estimator(mode, system, phis, ys, config, monitor)
-        try:
-            experiment.write_trajectory_csv(traj, temp)
-        except OSError as exc:
-            if exc.filename == temp:
-                exc.filename = target
-            raise
-        print(f"info: wrote {target}")
-        if traj.samples:
-            print(f"result: {mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}")
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = _guarded(estimate)
-    return code or EXIT_OK, out.getvalue(), err.getvalue()
-
-
-def _fork_writer(job):
-    """Fork a child that runs job; return its pid and this process's end of
-    the pipe it reports on, or None when this process cannot fork, and then
-    it runs job itself.
-
-    The child reports job's outcome as one JSON line, or a traceback and
-    exit 1 for an unexpected error.  It prints nothing and leaves through
-    os._exit, so nothing of the caller (buffered stdout, exit handlers, a
-    test runner's teardown) runs or flushes in it.  OpenBLAS joins its
-    worker threads at fork, so the process forks with one thread.
+    job returns an exit code and a text.  The child writes the text to the
+    pipe and ends with the code, or with a traceback and exit 1 for an
+    unexpected error.  It prints nothing and leaves through os._exit, so
+    nothing of the caller (buffered stdout, exit handlers, a test runner's
+    teardown) runs or flushes in it.  OpenBLAS joins its worker threads at
+    fork, so the process forks with one thread.
     """
-    import json
     import signal  # here, not at the top: building its enums costs about 1 ms
 
     try:
@@ -181,62 +155,78 @@ def _fork_writer(job):
         try:
             os.close(reports)
             try:
-                outcome = job()
+                code, text = job(*args)
             except BaseException:  # ends the job as it would end a process
                 import traceback
 
-                outcome = (1, "", traceback.format_exc())
-            with os.fdopen(report, "w") as pipe:
-                pipe.write(json.dumps(outcome) + "\n")
-            code = EXIT_OK
+                text = traceback.format_exc()
+            with open(report, "w", errors="surrogateescape") as pipe:
+                pipe.write(text)
         finally:
             os._exit(code)
     os.close(report)
-    return pid, os.fdopen(reports, "rb")
+    return pid, open(reports, errors="surrogateescape")
 
 
-def cmd_run(args) -> int:
-    import functools
-    import json
+def _commit(args, monitor, target_of, finish) -> int:
+    """Draw once, then run each mode's estimator, with its monitor if asked,
+    and finish(traj, temp), which writes its CSV to temp and returns the
+    lines printed after ``info: wrote <target_of(mode)>``.
+
+    Every job but the last runs in a forked child.  The temporaries lie
+    beside their targets and are renamed onto them, in mode order, only
+    when every job succeeded; else the first failure in mode order is
+    printed.  An I/O error on a temporary names its target.
+    """
+    from .experiment import run_estimator
 
     system, phis, ys, config = _draw(args)
-    # each job writes its CSV to a temporary beside its target, all but the
-    # last in a forked child; the temporaries are renamed onto their targets,
-    # in mode order, only when every job succeeded; else the first failure is printed
-    targets = [f"{args.out_prefix}-{mode}.csv" for mode in config.modes]
-    temps = [f"{target}.{os.getpid()}.tmp" for target in targets]
-    jobs = [functools.partial(_job, mode, system, phis, ys, config, args.monitor, target, temp)
-            for mode, target, temp in zip(config.modes, targets, temps)]
-    children, codes = {}, {}  # each forked job's pid and report pipe, and exit code
+    targets = [target_of(mode) for mode in config.modes]
+    temps = [f"{path}.{os.getpid()}.tmp" for path in targets]
+
+    def job(mode, target, temp):
+        """The job's exit code, and its lines or its one error line."""
+        try:
+            traj = run_estimator(mode, system, phis, ys, config, monitor)
+            try:
+                return EXIT_OK, f"info: wrote {target}\n{finish(traj, temp)}"
+            except OSError as exc:
+                if exc.filename == temp:
+                    exc.filename = target
+                raise
+        except (OSError, MisoidError, MemoryError) as exc:
+            return _failure(exc)
+
+    jobs = list(zip(config.modes, targets, temps))
+    # each job's exit code and text; each forked job's pid and report pipe
+    outcomes, children = [None] * len(jobs), {}
     try:
         try:
-            for i, job in enumerate(jobs[:-1]):
-                if child := _fork_writer(job):
+            for i, params in enumerate(jobs[:-1]):
+                if child := _fork(job, *params):
                     children[i] = child
-            outcomes = [None if i in children else job() for i, job in enumerate(jobs)]
-            for i, (_, reports) in children.items():
-                outcomes[i] = reports.readline()
+            for i, params in enumerate(jobs):
+                if i not in children:
+                    outcomes[i] = job(*params)
         finally:
             # no child is left, nor writes, once the temporaries are removed
             for i, (pid, reports) in children.items():
-                reports.close()
-                codes[i] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        for i, code in codes.items():
-            how = f"was ended by signal {-code}" if code < 0 else f"ended with exit code {code}"
-            outcomes[i] = json.loads(outcomes[i]) if outcomes[i] else (
-                EXIT_IO, "", f"error: I/O failure: the writer of {targets[i]} {how}\n")
-        for code, out, err in outcomes:
+                with reports:
+                    text = reports.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"was ended by signal {-code}" if code < 0 else f"ended with exit code {code}"
+                outcomes[i] = (code, text) if text and code >= 0 else (
+                    EXIT_IO, f"error: I/O failure: the writer of {targets[i]} {how}\n")
+        for code, text in outcomes:
             if code:
-                sys.stdout.write(out)
-                sys.stderr.write(err)
+                sys.stderr.write(text)
                 return code
-        for temp, target, (_, out, err) in zip(temps, targets, outcomes):
+        for temp, target, (_, text) in zip(temps, targets, outcomes):
             try:
                 os.replace(temp, target)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, target) from None
-            sys.stdout.write(out)
-            sys.stderr.write(err)
+            sys.stdout.write(text)
         return EXIT_OK
     finally:
         for temp in temps:
@@ -246,26 +236,32 @@ def cmd_run(args) -> int:
                 pass
 
 
+def cmd_run(args) -> int:
+    from .experiment import write_trajectory_csv
+
+    def finish(traj, temp):
+        write_trajectory_csv(traj, temp)
+        if not traj.samples:
+            return ""
+        return f"result: {traj.mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}\n"
+
+    return _commit(args, args.monitor, lambda mode: f"{args.out_prefix}-{mode}.csv", finish)
+
+
 def cmd_monitor(args) -> int:
-    from .experiment import run_estimator
     from .lyapunov import write_monitor_csv
 
-    system, phis, ys, config = _draw(args)
-    traj = run_estimator(args.mode, system, phis, ys, config, monitor=True)
-    if not traj.samples:
-        print("error: no samples to monitor", file=sys.stderr)
-        return EXIT_USAGE
-    report = traj.monitor
-    write_monitor_csv(report, args.out)
-    print(f"info: wrote {args.out}")
-    if args.sigma > 0:
-        print(f"info: sigma={args.sigma:g} > 0: violations (steps with deltaW > 0) "
-              "then include noise-driven increases")
-    print(
-        f"result: violations={len(report.violations)} "
-        f"orthogonal_steps={len(report.orthogonal_steps)}"
-    )
-    return EXIT_OK
+    def finish(traj, temp):
+        if not traj.samples:
+            raise ParameterError("no samples to monitor")
+        report = traj.monitor
+        write_monitor_csv(report, temp)
+        noise = (f"info: sigma={args.sigma:g} > 0: violations (steps with deltaW > 0) "
+                 "then include noise-driven increases\n") if args.sigma > 0 else ""
+        return noise + (f"result: violations={len(report.violations)} "
+                        f"orthogonal_steps={len(report.orthogonal_steps)}\n")
+
+    return _commit(args, True, lambda mode: args.out, finish)
 
 
 def cmd_compare(args) -> int:
@@ -323,6 +319,15 @@ def entry() -> int:
         gc.freeze()
 
 
+def _failure(exc):
+    """The exit code and the one ``error:`` line of an error main maps."""
+    if isinstance(exc, OSError):
+        return EXIT_IO, f"error: I/O failure: {exc}\n"
+    if isinstance(exc, MemoryError):
+        return EXIT_RUNTIME, f"error: out of memory: {exc}\n"
+    return (EXIT_USAGE if isinstance(exc, ParameterError) else EXIT_RUNTIME), f"error: {exc}\n"
+
+
 def _guarded(fn, *args):
     """fn(*args), or the exit code of the error it raised, printed as one
     ``error:`` line."""
@@ -332,18 +337,10 @@ def _guarded(fn, *args):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return fn(*args)
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MisoidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except (OSError, MisoidError, MemoryError) as exc:
+        code, text = _failure(exc)
+        sys.stderr.write(text)
+        return code
 
 
 if __name__ == "__main__":

@@ -49,9 +49,10 @@ def read_columns(path, names=None) -> dict[str, list[float]]:
     Only the columns in names (all when None) are parsed, by _number's
     rule.  An empty line is skipped; every other data line must have the
     header's field count, but a field in a column that is not read is not
-    checked to be a number.  The first defect in file order is raised,
-    naming the 1-based file line; a byte that is not UTF-8 is one in any
-    column and the first defect of its line.
+    checked to be a number.  A header that names a column more than once
+    is malformed.  The first defect in file order is raised, naming the
+    1-based file line; a byte that is not UTF-8 is one in any column and
+    the first defect of its line.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         line = fh.readline()
@@ -60,6 +61,9 @@ def read_columns(path, names=None) -> dict[str, list[float]]:
         if header == [""]:
             raise ParameterError(f"{path}: empty file")
         index = {name: j for j, name in enumerate(header)}
+        if len(index) < len(header):
+            name = next(name for j, name in enumerate(header) if index[name] != j)
+            raise ParameterError(f"{path}: the header names column {name!r} more than once")
         for name in names or ():
             if name not in index:
                 raise ParameterError(f"{path} has no column {name!r}")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import misoid.experiment
 import misoid.kernels
+import misoid.lyapunov
 from misoid.cli import main
 from misoid.csvcolumns import first_crossing, read_columns
 from misoid.errors import NumericError
@@ -190,11 +191,16 @@ def _run_argv(system, mode, prefix, samples=17, monitor=False):
         ["--monitor"] if monitor else [])
 
 
+def _monitor_argv(system, mode, out, samples=17):
+    return ["monitor", "--system", str(system), "--mode", mode, "--samples", str(samples),
+            "--seed", "1", "--out", str(out)]
+
+
 class TestRunWriters:
     """run --mode both runs the central estimator and writes its CSV in a
     forked child while it runs the distributed one and writes that itself;
     each CSV goes to a temporary that is renamed onto its target only when
-    both succeeded."""
+    both succeeded.  monitor commits its one CSV the same way."""
 
     @pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
     @pytest.mark.parametrize("samples", [0, 1, 17, 400])
@@ -260,8 +266,9 @@ class TestRunWriters:
         (MemoryError("no room"), 2, "error: out of memory: no room"),
         (OSError("disk full"), 3, "error: I/O failure: disk full"),
         (None, 3, "error: I/O failure: the writer of {prefix}-central.csv was ended by signal 9"),
+        (5, 3, "error: I/O failure: the writer of {prefix}-central.csv ended with exit code 5"),
         (RuntimeError("bug"), 1, "RuntimeError: bug"),
-    ], ids=["memory", "io", "signal", "unexpected"])
+    ], ids=["memory", "io", "signal", "exit", "unexpected"])
     def test_child_failure_maps_to_exit_code(self, tmp_path, capfd, monkeypatch, exc, code,
                                               text):
         parent = os.getpid()
@@ -271,6 +278,8 @@ class TestRunWriters:
             if traj.mode == "central" and os.getpid() != parent:
                 if exc is None:
                     os.kill(os.getpid(), signal.SIGKILL)
+                if isinstance(exc, int):
+                    os._exit(exc)  # ends without sending any text
                 raise exc
             write(traj, path)
 
@@ -319,15 +328,18 @@ class TestRunWriters:
         ("central", "central", "enospc"), ("distributed", "distributed", "enospc"),
         ("both", "central", "enospc"), ("both", "distributed", "enospc"),
         ("both", "central", "sigkill"),
-    ], ids=["central", "distributed", "both-central", "both-distributed", "both-killed"])
+        ("monitor", "central", "enospc"), ("monitor", "distributed", "enospc"),
+    ], ids=["central", "distributed", "both-central", "both-distributed", "both-killed",
+            "monitor-central", "monitor-distributed"])
     def test_partly_written_csv_leaves_no_file(self, tmp_path, capfd, monkeypatch, mode,
                                                failing, end):
         # the writer writes part of its file, then runs out of room or is
-        # killed: no file is left at either target, nor a temporary
+        # killed: no file is left at either target, nor a temporary, and a
+        # file that was at monitor's target keeps its bytes
         write = misoid.experiment.write_trajectory_csv
 
         def partial_write(traj, path):
-            if traj.mode != failing:
+            if mode != "monitor" and traj.mode != failing:
                 return write(traj, path)
             with open(path, "w") as fh:
                 fh.write("k,err_norm_sq\n0,")
@@ -335,18 +347,26 @@ class TestRunWriters:
                 os.kill(os.getpid(), signal.SIGKILL)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
 
-        monkeypatch.setattr(misoid.experiment, "write_trajectory_csv", partial_write)
         system = _gen_system(tmp_path)
-        capfd.readouterr()
         prefix = tmp_path / "x"
-        assert main(_run_argv(system, mode, prefix)) == 3
+        target = tmp_path / f"x-{failing}.csv"
+        if mode == "monitor":
+            monkeypatch.setattr(misoid.lyapunov, "write_monitor_csv", partial_write)
+            target.write_bytes(b"kept\n")
+            argv = _monitor_argv(system, failing, target)
+        else:
+            monkeypatch.setattr(misoid.experiment, "write_trajectory_csv", partial_write)
+            argv = _run_argv(system, mode, prefix)
+        capfd.readouterr()
+        assert main(argv) == 3
         _no_child_left()
         out, err = capfd.readouterr()
-        target = f"{prefix}-{failing}.csv"
         assert out == "" and err == ("error: I/O failure: " + (
             f"the writer of {target} was ended by signal 9" if end == "sigkill"
             else f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'") + "\n")
-        assert not list(tmp_path.glob("x-*"))
+        assert list(tmp_path.glob("x-*")) == ([target] if mode == "monitor" else [])
+        if mode == "monitor":
+            assert target.read_bytes() == b"kept\n"
 
     def test_interrupt_reaps_the_child_and_removes_temporaries(self, tmp_path, monkeypatch):
         # this process's own kernel is interrupted while the child runs central
@@ -360,7 +380,8 @@ class TestRunWriters:
         _no_child_left()
         assert not list(tmp_path.glob("x-*"))
 
-    def test_targets_are_replaced_by_rename(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "monitor"])
+    def test_targets_are_replaced_by_rename(self, tmp_path, command):
         # a link at a target is replaced, not written through, and the new
         # file's mode follows the umask, not the old file's
         system = _gen_system(tmp_path)
@@ -369,7 +390,11 @@ class TestRunWriters:
         (tmp_path / "x-central.csv").symlink_to(elsewhere)
         (tmp_path / "x-distributed.csv").write_text("old\n")
         (tmp_path / "x-distributed.csv").chmod(0o600)
-        assert main(_run_argv(system, "both", tmp_path / "x")) == 0
+        argvs = [_run_argv(system, "both", tmp_path / "x")] if command == "run" else [
+            _monitor_argv(system, mode, tmp_path / f"x-{mode}.csv")
+            for mode in ("central", "distributed")]
+        for argv in argvs:
+            assert main(argv) == 0
         umask = os.umask(0)
         os.umask(umask)
         for mode in ("central", "distributed"):
@@ -490,6 +515,15 @@ class TestMonitorCommand:
         assert "noise-driven" not in stdout
         assert main(argv + ["--sigma", "0.1"]) == 0
         assert "info: sigma=0.1 > 0: violations" in capsys.readouterr().out
+
+    def test_zero_samples_is_a_usage_error(self, tmp_path, capsys):
+        system = _gen_system(tmp_path)
+        (tmp_path / "m.csv").write_text("kept\n")
+        capsys.readouterr()
+        assert main(_monitor_argv(system, "distributed", tmp_path / "m.csv", samples=0)) == 1
+        assert capsys.readouterr() == ("", "error: no samples to monitor\n")
+        assert (tmp_path / "m.csv").read_text() == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.csv", "sys.json"]
 
     def test_both_mode_rejected(self, tmp_path):
         system = _gen_system(tmp_path)

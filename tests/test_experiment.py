@@ -287,8 +287,9 @@ class TestTrajectoryCsv:
         "k,err_norm_sq\n0,1_0\n",
         "k,err_norm_sq\n0,\u0661\n",
         "k,err_norm_sq\n0,0x10\n",
+        "k,err_norm_sq,err_norm_sq\n0,1.0,2.0\n",
     ], ids=["empty", "ragged", "non-numeric", "more-fields-than-header", "non-numeric-eps",
-            "two-defects", "underscore", "arabic-indic-digit", "hex"])
+            "two-defects", "underscore", "arabic-indic-digit", "hex", "repeated-name"])
     def test_malformed_csv_names_the_file(self, tmp_path, content):
         path = tmp_path / "bad.csv"
         path.write_text(content)
