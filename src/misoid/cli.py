@@ -6,16 +6,19 @@ allocated, 3 I/O error.  All machine-readable stdout lines are prefixed
 ``info:`` or ``result:``.  Each command imports what it needs when it runs, so
 ``compare``, which reads its floats through ``csvcolumns``, loads no numpy,
 and only ``monitor`` and ``run --monitor`` load ``lyapunov``.
-``run`` and ``monitor`` draw their data once, and each estimator writes
-its CSV to a temporary ``<target>.<pid>.tmp``; the temporaries are renamed
-onto their targets only when every estimator and write succeeded, and
-every line is printed by this process, in mode order.  ``run --mode both``
-runs the central estimator in a forked child, which reports its exit code
-through its exit status and its lines through a pipe.  Importing this
-module sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is set.  The
-``misoid`` script and ``python -m misoid.cli`` run ``entry``, which is
-``main`` without the cyclic garbage collector; ``main`` leaves the
-collector as it finds it.
+``run`` and ``monitor`` run each estimator as an ``experiment.Stream``,
+which draws and estimates a chunk of steps at a time, and append each
+chunk to the estimator's CSV in a temporary ``<target>.<pid>.tmp``; so
+their memory does not grow with the sample count.  The temporaries are
+renamed onto their targets only when every estimator and write
+succeeded, and every line is printed by this process, in mode order.
+``run --mode both`` runs the central estimator in a forked child, which
+reports its exit code through its exit status and its lines through a
+pipe; when one estimator fails, the other stops at its next chunk.
+Importing this module sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is
+set.  The ``misoid`` script and ``python -m misoid.cli`` run ``entry``,
+which is ``main`` without the cyclic garbage collector; ``main`` leaves
+the collector as it finds it.
 """
 from __future__ import annotations
 
@@ -87,9 +90,9 @@ def _add_run_flags(sub, sigma: float):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _draw(args):
-    """The system file, its one draw of regressors and outputs, and the run's config."""
-    from .experiment import ExperimentConfig, draw
+def _setup(args):
+    """The system file and the run's config."""
+    from .experiment import ExperimentConfig
     from .fir import load_system
 
     # m and order_range only shape random_system; a system file's own
@@ -102,8 +105,7 @@ def _draw(args):
         samples=args.samples,
         mode=args.mode,
     )
-    system = load_system(args.system)
-    return (system, *draw(system, config), config)
+    return load_system(args.system), config
 
 
 def cmd_gen_system(args) -> int:
@@ -123,17 +125,22 @@ def cmd_gen_system(args) -> int:
     return EXIT_OK
 
 
-def _fork(job, *args):
-    """Fork a child that runs job(*args); return its pid and this process's
-    end of the pipe it reports on, or None when this process cannot fork,
-    and then it runs job itself.
+class _Stopped(Exception):
+    """Ends a job between two chunks, because another job failed."""
 
-    job returns an exit code and a text.  The child writes the text to the
-    pipe and ends with the code, or with a traceback and exit 1 for an
-    unexpected error.  It prints nothing and leaves through os._exit, so
-    nothing of the caller (buffered stdout, exit handlers, a test runner's
-    teardown) runs or flushes in it.  OpenBLAS joins its worker threads at
-    fork, so the process forks with one thread.
+
+def _fork(job, closing):
+    """Fork a child that runs job(); return its pid and this process's end
+    of the pipe it reports on, or None when this process cannot fork, and
+    then it runs job itself.
+
+    job returns an exit code and a text.  The child first closes the file
+    descriptors in closing, then writes the text to the pipe and ends with
+    the code, or with a traceback and exit 1 for an unexpected error.  It
+    prints nothing and leaves through os._exit, so nothing of the caller
+    (buffered stdout, exit handlers, a test runner's teardown) runs or
+    flushes in it.  OpenBLAS joins its worker threads at fork, so the
+    process forks with one thread.
     """
     import signal  # here, not at the top: building its enums costs about 1 ms
 
@@ -153,9 +160,10 @@ def _fork(job, *args):
     if pid == 0:
         code = 1
         try:
-            os.close(reports)
+            for fd in (reports, *closing):
+                os.close(fd)
             try:
-                code, text = job(*args)
+                code, text = job()
             except BaseException:  # ends the job as it would end a process
                 import traceback
 
@@ -169,54 +177,100 @@ def _fork(job, *args):
 
 
 def _commit(args, monitor, target_of, finish) -> int:
-    """Draw once, then run each mode's estimator, with its monitor if asked,
-    and finish(traj, temp), which writes its CSV to temp and returns the
-    lines printed after ``info: wrote <target_of(mode)>``.
+    """Run each mode's estimator, with its monitor if asked, as an
+    experiment.Stream, and finish(stream, temp), which writes its CSV to
+    temp as the stream's chunks come and returns the lines printed after
+    ``info: wrote <target_of(mode)>``.
 
-    Every job but the last runs in a forked child.  The temporaries lie
-    beside their targets and are renamed onto them, in mode order, only
-    when every job succeeded; else the first failure in mode order is
-    printed.  An I/O error on a temporary names its target.
+    Every job but the last runs in a forked child, and the jobs check on
+    each other between chunks: a job of this process stops when a child
+    has failed, and when one of them fails, this process closes the pipe
+    its children read, so that each stops at its next chunk.  A stopped
+    job is not a failure.  The temporaries lie beside their targets and
+    are renamed onto them, in mode order, only when every job succeeded;
+    else the first failure in mode order is printed.  An I/O error on a
+    temporary names its target.
     """
-    from .experiment import run_estimator
+    from .experiment import Stream
 
-    system, phis, ys, config = _draw(args)
+    system, config = _setup(args)
     targets = [target_of(mode) for mode in config.modes]
     temps = [f"{path}.{os.getpid()}.tmp" for path in targets]
 
-    def job(mode, target, temp):
-        """The job's exit code, and its lines or its one error line."""
+    def job(i, between):
+        """Job i's exit code, and its lines or its one error line."""
+        mode, target, temp = config.modes[i], targets[i], temps[i]
         try:
-            traj = run_estimator(mode, system, phis, ys, config, monitor)
+            stream = Stream(mode, system, config, monitor, between)
             try:
-                return EXIT_OK, f"info: wrote {target}\n{finish(traj, temp)}"
+                return EXIT_OK, f"info: wrote {target}\n{finish(stream, temp)}"
             except OSError as exc:
                 if exc.filename == temp:
                     exc.filename = target
                 raise
+        except _Stopped:
+            return EXIT_OK, ""
         except (OSError, MisoidError, MemoryError) as exc:
             return _failure(exc)
 
-    jobs = list(zip(config.modes, targets, temps))
-    # each job's exit code and text; each forked job's pid and report pipe
-    outcomes, children = [None] * len(jobs), {}
+    # each job's exit code and text; each forked job's pid and report pipe,
+    # and its wait status once reaped
+    outcomes, children, ended = [(EXIT_OK, "")] * len(temps), {}, {}
+    # a forked job reads stop; this process closes go to stop every one
+    stop, go = os.pipe()
+    os.set_blocking(stop, False)
+
+    def stopped():
+        """Between a forked job's chunks: stop when this process asks."""
+        try:
+            if not os.read(stop, 1):
+                raise _Stopped
+        except BlockingIOError:  # the pipe is open and empty: go on
+            pass
+
+    def child_failed():
+        """Between this process's chunks: stop when a forked job has failed."""
+        for i, (pid, _) in children.items():
+            if i not in ended:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    ended[i] = status
+            if ended.get(i):
+                raise _Stopped
+
+    def stop_children():
+        nonlocal go
+        if go is not None:
+            os.close(go)
+            go = None
+
     try:
         try:
-            for i, params in enumerate(jobs[:-1]):
-                if child := _fork(job, *params):
+            for i in range(len(temps) - 1):
+                if child := _fork(lambda i=i: job(i, stopped), [go]):
                     children[i] = child
-            for i, params in enumerate(jobs):
-                if i not in children:
-                    outcomes[i] = job(*params)
+            for i in range(len(temps)):
+                if i not in children and not any(code for code, _ in outcomes):
+                    outcomes[i] = job(i, child_failed)
+            if any(code for code, _ in outcomes):
+                stop_children()
+        except BaseException:  # an interrupt, say
+            stop_children()
+            raise
         finally:
+            os.close(stop)
             # no child is left, nor writes, once the temporaries are removed
             for i, (pid, reports) in children.items():
                 with reports:
                     text = reports.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                status = ended[i] if i in ended else os.waitpid(pid, 0)[1]
+                code = os.waitstatus_to_exitcode(status)
                 how = f"was ended by signal {-code}" if code < 0 else f"ended with exit code {code}"
-                outcomes[i] = (code, text) if text and code >= 0 else (
+                # a child that was stopped may end with no text
+                silent = not text and not (code == 0 and go is None)
+                outcomes[i] = (code, text) if code >= 0 and not silent else (
                     EXIT_IO, f"error: I/O failure: the writer of {targets[i]} {how}\n")
+            stop_children()
         for code, text in outcomes:
             if code:
                 sys.stderr.write(text)
@@ -237,29 +291,31 @@ def _commit(args, monitor, target_of, finish) -> int:
 
 
 def cmd_run(args) -> int:
-    from .experiment import write_trajectory_csv
+    from . import experiment
 
-    def finish(traj, temp):
-        write_trajectory_csv(traj, temp)
-        if not traj.samples:
+    def finish(stream, temp):
+        experiment.write_trajectory_csv(stream, temp)
+        if not stream.steps:
             return ""
-        return f"result: {traj.mode} final_err_norm_sq={traj.final_err_norm_sq():.17g}\n"
+        return (f"result: {stream.mode} "
+                f"final_err_norm_sq={stream.last.final_err_norm_sq():.17g}\n")
 
     return _commit(args, args.monitor, lambda mode: f"{args.out_prefix}-{mode}.csv", finish)
 
 
 def cmd_monitor(args) -> int:
-    from .lyapunov import write_monitor_csv
+    from . import lyapunov
 
-    def finish(traj, temp):
-        if not traj.samples:
+    def finish(stream, temp):
+        if not args.samples:
+            for _ in stream:  # W at state 0 is checked all the same
+                pass
             raise ParameterError("no samples to monitor")
-        report = traj.monitor
-        write_monitor_csv(report, temp)
+        lyapunov.write_monitor_csv((chunk.monitor for chunk in stream), temp)
         noise = (f"info: sigma={args.sigma:g} > 0: violations (steps with deltaW > 0) "
                  "then include noise-driven increases\n") if args.sigma > 0 else ""
-        return noise + (f"result: violations={len(report.violations)} "
-                        f"orthogonal_steps={len(report.orthogonal_steps)}\n")
+        return noise + (f"result: violations={stream.violations} "
+                        f"orthogonal_steps={stream.orthogonal_steps}\n")
 
     return _commit(args, True, lambda mode: args.out, finish)
 

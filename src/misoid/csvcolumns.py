@@ -233,42 +233,86 @@ class _FloatText:
         return out, slow.size
 
 
+class RowWriter:
+    """Rows of float columns appended to a binary file, as write_csv_rows writes them.
+
+    The writer writes the header at once.  append takes the next rows as
+    write_csv_rows takes its columns; the rows are copied into one block of
+    about CSV_BLOCK values, which is formatted and written whenever it is
+    full, and close writes what is left.  So a file written in any number
+    of appends has the bytes, and the blocks, of one write_csv_rows call.
+    slow counts the values that Python's ``%`` formatted.
+    """
+
+    def __init__(self, fh, header):
+        import numpy as np
+
+        fh.write((",".join(header) + "\n").encode())
+        self.fh, self.text, self.slow, self.filled = fh, _FloatText(), 0, 0
+        # formatting a block takes about 150 bytes of temporaries per value.
+        # glibc gives the top of its heap back to the system once twice its
+        # mmap threshold lies free there, and raises that threshold to the
+        # size of each mmapped block it frees; this block, freed at once,
+        # keeps the temporaries on the heap, so their pages are not faulted
+        # in anew for every block
+        np.empty(CSV_BLOCK * 256, np.uint8)
+        self.block = np.empty((max(1, CSV_BLOCK // len(header)), len(header)))
+
+    def append(self, columns):
+        import numpy as np
+
+        cols = [np.asarray(col, dtype=float) for col in columns]
+        cols = [col.reshape(len(col), math.prod(col.shape[1:])) for col in cols]
+        start, rows = 0, len(cols[0])
+        while start < rows:
+            take = min(rows - start, len(self.block) - self.filled)
+            into = self.block[self.filled:self.filled + take]
+            j = 0
+            for col in cols:
+                into[:, j:j + col.shape[1]] = col[start:start + take]
+                j += col.shape[1]
+            self.filled += take
+            start += take
+            if self.filled == len(self.block):
+                self.close()
+
+    def close(self):
+        """Format and write the rows not yet written."""
+        if self.filled:
+            fields, slow = self.text.fields(self.block[:self.filled].ravel())
+            self.slow += slow
+            fields[-1] = 44
+            rows = fields.T.reshape(self.filled, -1)  # row-major values to rows of fields
+            rows[:, -1] = 10
+            self.fh.write(rows.tobytes().translate(None, b"\0"))
+            self.filled = 0
+
+
 def write_csv_rows(path, header, columns):
     """Header then one row per step, in the text of Python's ``%``.
 
     columns are 1-D arrays or 2-D arrays of several columns, one row per
-    step.  Every value is written as ``%.17g`` of its float, which is the
-    same text as ``format(x, '.17g')``, inf, nan and -0 included, and the
-    file's bytes are those of ``"%.17g,%.17g,...\\n" % row`` for every
-    row.  For the step index and 0/1 flag columns that text is their
-    ``%d`` text, as for every integer of magnitude up to 2**53.  Returns
-    how many values were formatted by ``%`` itself.
+    step, with as many columns in all as header has names.  Every value is
+    written as ``%.17g`` of its float, which is the same text as
+    ``format(x, '.17g')``, inf, nan and -0 included, and the file's bytes
+    are those of ``"%.17g,%.17g,...\\n" % row`` for every row.  For the step
+    index and 0/1 flag columns that text is their ``%d`` text, as for every
+    integer of magnitude up to 2**53.  Returns how many values were
+    formatted by ``%`` itself.
 
-    Values are formatted in numpy, CSV_BLOCK at a time.  With
-    X = floor(log10|x|), the 17 digits D = round(|x| * 10**(16 - X)) come
-    from an error-free product of x with a double pair for 10**(16 - X)
-    (Dekker 1971), whose error is far below 1e-6 of a unit of D, and X is
-    corrected when D falls outside [1e16, 1e17).  The text is then laid
-    out from a byte template as %g does.  Python's ``%`` formats a value
-    only where the product cannot certify the rounding: D's fraction lies
-    within 1e-6 of 1/2 (ties round half to even), or |x| lies outside
-    [1e-250, 1e250], where the split product could underflow or overflow.
+    Values are formatted in numpy, a RowWriter block of CSV_BLOCK values
+    at a time.  With X = floor(log10|x|), the 17 digits
+    D = round(|x| * 10**(16 - X)) come from an error-free product of x with
+    a double pair for 10**(16 - X) (Dekker 1971), whose error is far below
+    1e-6 of a unit of D, and X is corrected when D falls outside
+    [1e16, 1e17).  The text is then laid out from a byte template as %g
+    does.  Python's ``%`` formats a value only where the product cannot
+    certify the rounding: D's fraction lies within 1e-6 of 1/2 (ties round
+    half to even), or |x| lies outside [1e-250, 1e250], where the split
+    product could underflow or overflow.
     """
-    import numpy as np
-
-    cols = [np.asarray(col, dtype=float) for col in columns]
-    values = np.hstack([col.reshape(len(col), math.prod(col.shape[1:])) for col in cols])
-    step = max(1, CSV_BLOCK // values.shape[1])
-    text = _FloatText()
-    n_slow = 0
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(values), step):
-            block = values[start:start + step]
-            fields, slow = text.fields(block.ravel())
-            n_slow += slow
-            fields[-1] = 44
-            rows = fields.T.reshape(len(block), -1)  # row-major values to rows of fields
-            rows[:, -1] = 10
-            fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
-    return n_slow
+    with open(path, "wb") as fh:
+        rows = RowWriter(fh, header)
+        rows.append(columns)
+        rows.close()
+    return rows.slow

@@ -3,9 +3,19 @@
 All randomness flows through seeded numpy PCG64 generators with fixed
 stream labels, so a (config, seed) pair fully determines the system, the
 signals and every trajectory.  The central and distributed estimators in
-one experiment always consume the identical signal realization.  The
-Lyapunov monitor and the CSV module are imported by the calls that use
-them, so a run that neither monitors nor writes a file loads neither.
+one experiment always consume the identical signal realization.
+
+An estimator runs as one pipeline over chunks of steps: each chunk's
+regressors and outputs go through the kernel recursion, then become the
+chunk's errors, squared error norms and, when monitored, its Lyapunov
+records, all carried from chunk to chunk by their own state.
+run_estimator passes a whole draw through it as one chunk, and Stream
+draws and estimates STREAM_CHUNK steps at a time for the CLI, whose
+writers append each chunk to its CSV, so a streamed run's memory does not
+grow with N.  Chunks hold a multiple of the kernels' and the monitor's
+16 steps, so both give the same bytes.  The Lyapunov monitor and the CSV
+module are imported by the calls that use them, so a run that neither
+monitors nor writes a file loads neither.
 """
 from __future__ import annotations
 
@@ -72,14 +82,18 @@ def random_system(config: ExperimentConfig) -> MisoSystem:
     return MisoSystem(modules)
 
 
-def generate_signals(system: MisoSystem, config: ExperimentConfig):
-    """i.i.d. unit-variance Gaussian inputs per channel and white Gaussian output noise."""
-    n_samples = config.samples
+def _check_samples(system: MisoSystem, n_samples: int):
     if int(n_samples) * system.m * 8 > np.iinfo(np.intp).max:
         raise ParameterError(
             f"samples={n_samples} is out of range: {system.m} input channels of "
             "float64 samples exceed the largest array numpy can address"
         )
+
+
+def generate_signals(system: MisoSystem, config: ExperimentConfig):
+    """i.i.d. unit-variance Gaussian inputs per channel and white Gaussian output noise."""
+    n_samples = config.samples
+    _check_samples(system, n_samples)
     rng_u = np.random.default_rng([config.seed, _STREAM_INPUTS])
     inputs = rng_u.normal(0.0, 1.0, size=(n_samples, system.m))
     # at noise_std = 0 every draw is exactly +0.0
@@ -87,25 +101,63 @@ def generate_signals(system: MisoSystem, config: ExperimentConfig):
     return inputs, rng_v.normal(0.0, config.noise_std, size=n_samples)
 
 
-def build_regressors(system: MisoSystem, inputs) -> np.ndarray:
-    """Stacked regressor rows phi(t) for t = 0..N-1 with zero pre-windows."""
+def build_regressors(system: MisoSystem, inputs, past=None) -> np.ndarray:
+    """Stacked regressor rows phi(t), one per row of inputs.
+
+    past holds the p - 1 input rows before the first, p the largest order;
+    None is the zero pre-window of a run's start.  The rows are gathered
+    64 at a time.
+    """
     inputs = np.asarray(inputs, dtype=float)
-    n_samples = inputs.shape[0]
-    if n_samples and inputs.shape[1] != system.m:
+    n_samples, m = inputs.shape[0], system.m
+    if n_samples and inputs.shape[1] != m:
         raise DimensionError(
-            f"inputs have {inputs.shape[1]} channels, system has {system.m}"
+            f"inputs have {inputs.shape[1]} channels, system has {m}"
         )
-    phis = np.zeros((n_samples, system.n))
-    col = 0
-    for i, ni in enumerate(system.orders):
-        for lag in range(min(ni, n_samples)):
-            phis[lag:, col + lag] = inputs[: n_samples - lag, i]
-        col += ni
+    orders = np.array(system.orders)
+    last = orders.max() - 1
+    if past is None:
+        past = np.zeros((last, m))
+    # phi(t) holds module i's input at lag l in column offsets[i] + l: the
+    # value at t + last - l of window, whose row last is inputs' row 0
+    window = np.concatenate([past, inputs.reshape(n_samples, m)]).ravel()
+    lags = np.arange(system.n) - np.repeat(block_offsets(orders)[:-1], orders)
+    at = (last - lags) * m + np.repeat(np.arange(m), orders)
+    phis = np.empty((n_samples, system.n))
+    for start in range(0, n_samples, 64):
+        rows = phis[start:start + 64]
+        np.take(window, at + m * np.arange(start, start + len(rows))[:, None], out=rows)
     return phis
 
 
+#: OpenBLAS runs a matrix-vector product of fewer multiply-adds than this on
+#: one thread (2304 times its default GEMM_MULTITHREAD_THRESHOLD of 4)
+_ONE_THREAD_GEMV = 9216
+
+
 def outputs_from_regressors(system: MisoSystem, phis, noise) -> np.ndarray:
-    return phis @ system.theta_true() + np.asarray(noise, dtype=float)
+    """phis @ theta_true + noise, the product in row blocks of at most 64 rows.
+
+    A threaded product splits its rows between the threads, and a row's
+    last bits depend on where its split falls, so the block is halved to
+    4 rows at least until OpenBLAS runs it on one thread: the bytes do not
+    depend on the thread count below n = 1843, nor on how a streamed run
+    chunks its rows (STREAM_CHUNK is a multiple of every block).  numpy
+    computes a one-row product as a dot, which rounds otherwise than a
+    row of a longer product, so a last block of one row joins the block
+    before it.
+    """
+    theta = system.theta_true()
+    rows = 64
+    while rows > 4 and (rows + 1) * theta.size >= _ONE_THREAD_GEMV:
+        rows //= 2
+    clean = np.empty(len(phis))
+    start = 0
+    while start < len(phis):
+        end = start + rows + (len(phis) - start == rows + 1)
+        clean[start:end] = phis[start:end] @ theta
+        start = end
+    return clean + np.asarray(noise, dtype=float)
 
 
 def draw(system: MisoSystem, config: ExperimentConfig):
@@ -116,9 +168,47 @@ def draw(system: MisoSystem, config: ExperimentConfig):
     return phis, outputs_from_regressors(system, phis, noise)
 
 
+#: steps per chunk of a streamed run: a multiple of kernels.CHUNK and
+#: lyapunov.CHUNK, so that a run's bytes do not depend on it
+STREAM_CHUNK = 64
+
+
+def _drawn(system: MisoSystem, config: ExperimentConfig, between=None):
+    """draw(system, config) STREAM_CHUNK rows at a time, as (phis, ys) chunks.
+
+    numpy's generators give the same values drawn in row chunks as drawn at
+    once, and each chunk's regressors read the p - 1 input rows before it.
+    A run of no samples is one empty chunk.  between(), if given, is called
+    before every chunk but the first.  The whole (N, m) input array is
+    allocated once and never touched, so that a count memory could not
+    hold ends at once in MemoryError, as the whole-array draw does.
+    """
+    _check_samples(system, config.samples)
+    np.empty((config.samples, system.m))
+    rng_u = np.random.default_rng([config.seed, _STREAM_INPUTS])
+    rng_v = np.random.default_rng([config.seed, _STREAM_NOISE])
+    past = np.zeros((max(system.orders) - 1, system.m))
+    start = 0
+    while True:
+        rows = min(STREAM_CHUNK, config.samples - start)
+        if config.samples - start - rows == 1:
+            rows -= kernels.CHUNK  # a last chunk of one row would take a one-row product
+        inputs = rng_u.normal(0.0, 1.0, size=(rows, system.m))
+        phis = build_regressors(system, inputs, past)
+        past = np.concatenate([past, inputs])[rows:]
+        yield phis, outputs_from_regressors(system, phis,
+                                            rng_v.normal(0.0, config.noise_std, size=rows))
+        start += rows
+        if start >= config.samples:
+            return
+        if between is not None:
+            between()
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step record of one estimator run (row k = state after sample k)."""
+    """Per-step record of one estimator run, or of a chunk of its steps
+    (row k = state after sample k)."""
 
     mode: str
     errors: np.ndarray  # (N, n) per-parameter errors
@@ -137,48 +227,115 @@ class Trajectory:
         return float(self.err_norm_sq[-1])
 
 
-def run_estimator(mode, system: MisoSystem, phis, ys, config: ExperimentConfig,
-                  monitor: bool = False):
-    """Run mode's kernel over regressors phis (N, n) and outputs ys.
+def _recursion(mode, system: MisoSystem, config: ExperimentConfig):
+    """mode's kernel recursion from theta = 0, its block offsets and weights.
 
     Central RLS is the distributed recursion's one-block case: one node
     holding all n parameters with information weight 1/gamma^2.  The layout
     chosen here drives the kernel and the Lyapunov monitor alike; each mode
-    keeps its own float path to gamma^2.  ys (N,) gives the run's
-    Trajectory, ys (R, N) the (R, n) final estimates of R realizations.
+    keeps its own float path to gamma^2.
+    """
+    head = (np.zeros(system.n), config.init_c)
+    if mode == "central":
+        weight = 1.0 / config.gamma**2
+        return (kernels.central(*head, config.noise_std**2, weight),
+                np.array([0, system.n]), np.array([weight]))
+    offsets, gammas = block_offsets(system.orders), np.full(system.m, float(config.gamma))
+    return (kernels.distributed(*head, offsets, gammas, config.noise_std**2),
+            offsets, 1.0 / gammas**2)
+
+
+def _estimates(mode, system: MisoSystem, chunks, config: ExperimentConfig, monitor: bool):
+    """The Trajectory of each (phis, ys) chunk of one run, in order.
 
     The kernels reject non-finite estimates, so only the squared error can
     overflow; that raises NumericError naming the first such step, before
-    the Lyapunov monitor reads the same history.
+    the Lyapunov monitor reads the same errors.  A failure is the one the
+    whole run would raise at once: the kernel's first, else the squared
+    error's, else the monitor's.  So after an overflow or a monitor failure
+    no chunk is yielded, and the kernel, and after a monitor failure the
+    squared error, still run to the end.
     """
-    head = (phis, ys, np.zeros(system.n), config.init_c)
-    if mode == "central":
-        weight = 1.0 / config.gamma**2
-        offsets, weights = np.array([0, system.n]), np.array([weight])
-        run = kernels.central_trajectory(*head, config.noise_std**2, weight)
-    else:
-        offsets, gammas = block_offsets(system.orders), np.full(system.m, float(config.gamma))
-        weights = 1.0 / gammas**2
-        run = kernels.distributed_trajectory(*head, offsets, gammas, config.noise_std**2)
-    theta_hist, eps, alpha, gains = run
-    if np.ndim(ys) == 2:
-        return theta_hist
-    errors = np.vstack([np.zeros(system.n), theta_hist])
-    errors -= system.theta_true()
-    with np.errstate(over="ignore"):
-        err_norm_sq = np.sum(errors[1:]**2, axis=1)
-    bad = ~np.isfinite(err_norm_sq)
-    if bad.any():
-        raise NumericError(
-            f"{mode} run: the squared estimation error overflows at step {int(np.argmax(bad))}"
-        )
-    report = None
+    recursion, offsets, weights = _recursion(mode, system, config)
+    watch = None
     if monitor:
-        from .lyapunov import check_trajectory
+        from .lyapunov import Monitor
 
-        report = check_trajectory(mode, errors, phis, alpha, config.noise_std**2, config.init_c,
-                                  weights, offsets, gains)
-    return Trajectory(mode, errors[1:], eps, alpha, err_norm_sq, report)
+        watch = Monitor(mode, config.noise_std**2, config.init_c, weights, offsets)
+    theta_true = system.theta_true()
+    last = np.zeros(system.n) - theta_true  # the error at state 0
+    start, failure = 0, None
+    for phis, ys in chunks:
+        history, eps, alpha, gains = recursion.advance(phis, ys)
+        start += len(phis)
+        if failure is not None and failure[0] == "overflow":
+            continue
+        # errors at the states before and after each step of the chunk
+        errors = np.empty((len(phis) + 1, system.n))
+        errors[0] = last
+        np.subtract(history, theta_true, out=errors[1:])
+        last = errors[-1]
+        with np.errstate(over="ignore"):
+            err_norm_sq = np.sum(errors[1:]**2, axis=1)
+        bad = ~np.isfinite(err_norm_sq)
+        if bad.any():
+            failure = "overflow", NumericError(
+                f"{mode} run: the squared estimation error overflows at step "
+                f"{start - len(phis) + int(np.argmax(bad))}")
+        if failure is not None:
+            continue
+        try:
+            report = watch and watch.advance(errors, phis, alpha, gains)
+        except NumericError as exc:
+            failure = "monitor", exc
+            continue
+        yield Trajectory(mode, errors[1:], eps, alpha, err_norm_sq, report)
+    if failure is not None:
+        raise failure[1]
+
+
+def run_estimator(mode, system: MisoSystem, phis, ys, config: ExperimentConfig,
+                  monitor: bool = False):
+    """Run mode's kernel over regressors phis (N, n) and outputs ys, as one chunk.
+
+    ys (N,) gives the run's Trajectory, with its monitor report when
+    monitor is set; ys (R, N) gives the (R, n) final estimates of R
+    realizations, which share one gain sequence.
+    """
+    if np.ndim(ys) == 2:
+        return _recursion(mode, system, config)[0].advance(phis, ys)[0]
+    (trajectory,) = _estimates(mode, system, [(phis, ys)], config, monitor)
+    return trajectory
+
+
+class Stream:
+    """One estimator's run on config's draw, drawn and estimated STREAM_CHUNK
+    steps at a time, so that it holds no array whose size grows with N.
+
+    Iterating it runs the estimator once: it yields the run's consecutive
+    Trajectory chunks and calls between() before every chunk but the first.
+    After each chunk, steps counts the steps so far, last is the chunk, and
+    violations and orthogonal_steps count the monitor's flags.  Every chunk
+    has the bytes of the same rows of run_estimator on draw(system, config).
+    """
+
+    def __init__(self, mode, system: MisoSystem, config: ExperimentConfig, monitor: bool,
+                 between=None):
+        self.mode, self.system, self.config = mode, system, config
+        self.monitor, self.between = monitor, between
+        self.steps = self.violations = self.orthogonal_steps = 0
+        self.last = None
+
+    def __iter__(self):
+        for chunk in _estimates(self.mode, self.system,
+                                _drawn(self.system, self.config, self.between),
+                                self.config, self.monitor):
+            self.steps += chunk.samples
+            self.last = chunk
+            if chunk.monitor is not None:
+                self.violations += len(chunk.monitor.violations)
+                self.orthogonal_steps += len(chunk.monitor.orthogonal_steps)
+            yield chunk
 
 
 def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
@@ -222,27 +379,41 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
     """
     inputs, _ = generate_signals(system, config)
     phis = build_regressors(system, inputs)
-    clean = phis @ system.theta_true()
-    ys = np.empty((config.monte_carlo_runs, config.samples))
+    noise = np.empty((config.monte_carlo_runs, config.samples))
     for r in range(config.monte_carlo_runs):
         rng = np.random.default_rng([config.seed, _STREAM_MC_NOISE, r])
-        ys[r] = clean + rng.normal(0.0, config.noise_std, size=config.samples)
-    return run_estimator("distributed", system, phis, ys, config)
+        noise[r] = rng.normal(0.0, config.noise_std, size=config.samples)
+    return run_estimator("distributed", system, phis,
+                         outputs_from_regressors(system, phis, noise), config)
 
 
-def write_trajectory_csv(trajectory: Trajectory, path):
-    """Header then one row per step, as csvcolumns.write_csv_rows writes it."""
-    from .csvcolumns import write_csv_rows
+def write_trajectory_csv(trajectory, path):
+    """Header then one row per step, as csvcolumns.write_csv_rows writes it.
 
-    n = trajectory.errors.shape[1]
+    trajectory is a Trajectory, or a Stream whose chunks are written as
+    they come.
+    """
+    from .csvcolumns import RowWriter
+
+    if isinstance(trajectory, Trajectory):
+        chunks, n, monitor = [trajectory], trajectory.errors.shape[1], trajectory.monitor
+    else:
+        chunks, n, monitor = trajectory, trajectory.system.n, trajectory.monitor
     header = ["k", "err_norm_sq"] + [f"err_{j + 1}" for j in range(n)] + ["eps", "alpha"]
-    columns = [np.arange(trajectory.samples), trajectory.err_norm_sq, trajectory.errors,
-               trajectory.eps, trajectory.alpha]
-    if trajectory.monitor is not None:
-        monitor = trajectory.monitor.columns()
-        header += list(monitor)
-        columns += monitor.values()
-    write_csv_rows(path, header, columns)
+    if monitor:
+        from .lyapunov import MONITOR_COLUMNS
+
+        header += [head for head, _ in MONITOR_COLUMNS]
+    with open(path, "wb") as fh:
+        rows, k = RowWriter(fh, header), 0
+        for chunk in chunks:
+            columns = [np.arange(k, k + chunk.samples), chunk.err_norm_sq, chunk.errors,
+                       chunk.eps, chunk.alpha]
+            if chunk.monitor is not None:
+                columns += chunk.monitor.columns().values()
+            rows.append(columns)
+            k += chunk.samples
+        rows.close()
 
 
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class MisoSystem:
     def m(self) -> int:
         return len(self.modules)
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(mod.order for mod in self.modules)
 

@@ -1,4 +1,4 @@
-"""Whole-trajectory recursions in numpy: one loop over chunks of steps.
+"""The recursions in numpy: one loop over chunks of steps, resumable.
 
 In both recursions the gain sequence -- the gain matrix Sigma_k, the gain
 vector c_k = Sigma_k phi_k and the scalar alpha_k -- depends on the
@@ -12,7 +12,11 @@ of R output realizations at once, as one (R, n) array.  A Monte Carlo
 sweep over noise draws therefore pays for one gain sequence.  A single
 run's estimate history is theta_0 plus the running sum of the steps
 alpha_k eps_k c_k, which numpy's cumsum adds in the same order as the
-loop, so no per-step history is stored while the loop runs.
+loop, so no per-step history is stored while the loop runs.  A Recursion
+holds the gains, theta and that running sum, and advances them over the
+steps it is given: a run fed in chunks that hold a multiple of CHUNK
+steps runs the same CHUNK-step pieces, and gives the same bytes, as a run
+fed at once, which is what the two public functions do.
 
 Node i updates its own gain matrix with its own scalar,
 Sigma_i -= c_i c_i' / (gamma_i^2 + g_i) with g_i = phi_i' Sigma_i phi_i;
@@ -41,8 +45,8 @@ realizations then solve the unit lower triangular system
 (I + tril(Phi C', -1) diag(alpha)) e = y - Phi theta, and
 theta += (alpha e)' C.
 
-Plain, monitored and Monte Carlo runs all go through the two public
-functions; the protocol in ``central`` and ``distributed`` is the
+Plain, monitored, streamed and Monte Carlo runs all go through Recursion;
+the protocol in ``central`` and ``distributed`` is the
 specification they are tested against.  Both fail like the protocol, in
 step order: they raise ``NumericError`` naming the first step where the
 shared gain denominator is not a positive finite number (with the
@@ -134,96 +138,129 @@ def _block_steps(sigma, phi, gamma_sq, noise_var):
     return c, gains, denom, sigma - np.matmul(xt.transpose(0, 2, 1), xt)
 
 
-@np.errstate(all="ignore")
-def _trajectory(phis, ys, theta0, init_c, offsets, gamma_sq, noise_var):
-    """Estimates, errors, alphas (N,) and per-node gains (N, m), chunk by chunk.
+class Recursion:
+    """Sigma, theta and the running sum of one recursion, advanced a chunk at a time.
 
-    ys is (N,) for one run or (R, N) for R realizations.  The estimates are
-    the (N, n) history of one run or the (R, n) final estimates of R runs,
-    the errors (N,) or (R, N).  A non-finite value ends in NumericError, so
-    numpy's floating-point warnings would only repeat it.
+    Each call of advance takes the regressors (b, n) and outputs of the
+    next b steps, ys (b,) for one run or (R, b) for R realizations, and runs
+    them in CHUNK-step pieces from the chunk's start.  So a run advanced in
+    chunks that hold a multiple of CHUNK steps, the last chunk aside, runs
+    the same pieces as a run advanced at once, and its bytes are the same.
     """
-    ys = np.asarray(ys, dtype=float)
-    runs = np.atleast_2d(ys)
-    n_steps, n = phis.shape
-    real, cols = packed_layout(offsets)
-    m, p = real.shape
-    sigma = np.where(real[:, :, None], init_c, 1.0) * np.eye(p)
-    theta = np.tile(theta0, (runs.shape[0], 1))
-    cs = np.empty((n_steps, n))
-    alpha = np.empty(n_steps)
-    gains = np.empty((n_steps, m))
-    eps = np.empty(runs.shape)
-    k = rerun_to = 0
-    while k < n_steps:
-        rerun = k < rerun_to
-        size = 1 if rerun else CHUNK
-        phi = phis[k:k + size]
-        packed = np.where(real, phi[:, cols], 0.0).transpose(1, 0, 2)
-        try:
-            c, gains[k:k + size], denom, new_sigma = (
-                _rank_one_step(sigma, packed, gamma_sq, noise_var, k) if rerun
-                else _block_steps(sigma, packed, gamma_sq, noise_var))
-            cs[k:k + size] = c.transpose(1, 0, 2)[:, real]
-            alpha[k:k + size] = 1.0 / denom
-            # the C-ordered rows of cs, not the F-ordered gather: BLAS rounds
-            # products of the two differently
-            c, a = cs[k:k + size], alpha[k:k + size]
-            # e_j = y_j - theta' phi_j - sum_{l<j} a_l e_l c_l' phi_j is a unit
-            # lower triangular system in the chunk's errors
-            lower = np.tril(phi @ c.T, -1) * a
-            np.fill_diagonal(lower, 1.0)
-            e = np.linalg.solve(lower, (runs[:, k:k + size] - theta @ phi.T).T).T
-            new_theta = theta + (e * a) @ c
-            # an overflowed or NaN entry of the new gain matrix puts one on
-            # the diagonal of its row (Cauchy-Schwarz), so that is checked
-            if not (np.isfinite(new_theta).all() and np.isfinite(e).all()
-                    and np.isfinite(new_sigma.diagonal(axis1=1, axis2=2)).all()):
-                raise _non_finite(k)
-        except (NumericError, np.linalg.LinAlgError):
-            # a refused chunk, or one that fails: the gains run ahead of the
-            # chunk's estimates, and the solve spreads a non-finite value to
-            # the chunk's earlier steps, so the chunk is rerun one step at a
-            # time from its start; the first step that fails is the one the
-            # protocol stops at
-            if rerun:
-                raise
-            rerun_to = k + size
-            continue
-        eps[:, k:k + size] = e
-        sigma, theta, k = new_sigma, new_theta, k + size
-    if ys.ndim == 1:
-        # theta_0 plus the running sum of the steps a_k e_k c_k, over cs
+
+    def __init__(self, theta0, init_c, offsets, gamma_sq, noise_var):
+        self.real, self.cols = packed_layout(offsets)
+        p = self.real.shape[1]
+        self.sigma = np.where(self.real[:, :, None], init_c, 1.0) * np.eye(p)
+        self.gamma_sq, self.noise_var = gamma_sq, noise_var
+        self.theta0, self.theta, self.total = theta0, None, theta0
+        self.steps = 0
+
+    @np.errstate(all="ignore")
+    def advance(self, phis, ys):
+        """The next chunk's estimates, errors, alphas (b,) and per-node gains (b, m).
+
+        The estimates are the (b, n) history of one run, theta_0 plus the
+        running sum of the steps carried from chunk to chunk, or the (R, n)
+        estimates of R runs after the chunk; the errors are (b,) or (R, b).
+        A non-finite value ends in NumericError naming the run's step, so
+        numpy's floating-point warnings would only repeat it.
+        """
+        ys = np.asarray(ys, dtype=float)
+        runs = np.atleast_2d(ys)
+        if self.theta is None:
+            self.theta = np.tile(self.theta0, (runs.shape[0], 1))
+        real, cols, sigma, theta = self.real, self.cols, self.sigma, self.theta
+        n_steps, n = phis.shape
+        cs = np.empty((n_steps, n))
+        alpha = np.empty(n_steps)
+        gains = np.empty((n_steps, real.shape[0]))
+        eps = np.empty(runs.shape)
+        k = rerun_to = 0
+        while k < n_steps:
+            rerun = k < rerun_to
+            size = 1 if rerun else CHUNK
+            phi = phis[k:k + size]
+            packed = np.where(real, phi[:, cols], 0.0).transpose(1, 0, 2)
+            try:
+                c, gains[k:k + size], denom, new_sigma = (
+                    _rank_one_step(sigma, packed, self.gamma_sq, self.noise_var, self.steps + k)
+                    if rerun else _block_steps(sigma, packed, self.gamma_sq, self.noise_var))
+                cs[k:k + size] = c.transpose(1, 0, 2)[:, real]
+                alpha[k:k + size] = 1.0 / denom
+                # the C-ordered rows of cs, not the F-ordered gather: BLAS rounds
+                # products of the two differently
+                c, a = cs[k:k + size], alpha[k:k + size]
+                # e_j = y_j - theta' phi_j - sum_{l<j} a_l e_l c_l' phi_j is a unit
+                # lower triangular system in the chunk's errors
+                lower = np.tril(phi @ c.T, -1) * a
+                np.fill_diagonal(lower, 1.0)
+                e = np.linalg.solve(lower, (runs[:, k:k + size] - theta @ phi.T).T).T
+                new_theta = theta + (e * a) @ c
+                # an overflowed or NaN entry of the new gain matrix puts one on
+                # the diagonal of its row (Cauchy-Schwarz), so that is checked
+                if not (np.isfinite(new_theta).all() and np.isfinite(e).all()
+                        and np.isfinite(new_sigma.diagonal(axis1=1, axis2=2)).all()):
+                    raise _non_finite(self.steps + k)
+            except (NumericError, np.linalg.LinAlgError):
+                # a refused chunk, or one that fails: the gains run ahead of the
+                # chunk's estimates, and the solve spreads a non-finite value to
+                # the chunk's earlier steps, so the chunk is rerun one step at a
+                # time from its start; the first step that fails is the one the
+                # protocol stops at
+                if rerun:
+                    raise
+                rerun_to = k + size
+                continue
+            eps[:, k:k + size] = e
+            sigma, theta, k = new_sigma, new_theta, k + size
+        self.sigma, self.theta = sigma, theta
+        self.steps += n_steps
+        if ys.ndim == 2:
+            return theta, eps, alpha, gains
+        # the running sum of the steps a_k e_k c_k, over cs
         steps = np.multiply(cs, (alpha * eps[0])[:, None], out=cs)
-        steps[:1] += theta0
-        return np.cumsum(steps, axis=0, out=steps), eps[0], alpha, gains
-    return theta, eps, alpha, gains
+        steps[:1] += self.total
+        history = np.cumsum(steps, axis=0, out=steps)
+        if n_steps:
+            self.total = history[-1].copy()
+        return history, eps[0], alpha, gains
+
+
+def central(theta0, init_c, noise_var, info_weight) -> Recursion:
+    """The central recursion from the gain matrix init_c * I: the one-block
+    case, with gamma^2 = 1/info_weight (1/sigma^2 for the standard recursion,
+    1/gamma^2 for the gamma-driven variant)."""
+    n = len(theta0)
+    return Recursion(theta0, init_c, np.array([0, n]), np.array([1.0 / info_weight]), noise_var)
+
+
+def distributed(theta0, init_c, offsets, gammas, noise_var) -> Recursion:
+    """The fused distributed recursion: node i starts from init_c * I of its
+    own order, offsets[i]:offsets[i+1], and updates with gamma_i^2."""
+    return Recursion(theta0, init_c, offsets, np.asarray(gammas, dtype=float) ** 2, noise_var)
 
 
 def central_trajectory(phis, ys, theta0, init_c, noise_var, info_weight):
-    """Run the central recursion over all samples from the gain matrix init_c * I.
+    """Run the central recursion over all samples at once.
 
     phis is (N, n) with row k the regressor used at step k; ys is (N,) for
     one run or (R, N) for R output realizations on the same regressors;
-    info_weight is 1/sigma^2 for the standard recursion or 1/gamma^2 for
-    the gamma-driven variant.  Returns the estimates (the (N, n) per-step
-    history of one run, or the (R, n) final estimates of R runs), the
-    prediction errors ((N,) or (R, N)), the (N,) gains alpha and the
-    (N, 1) gain scalars phi' Sigma phi of the one block.
+    theta0, init_c, noise_var and info_weight are those of ``central``.
+    Returns the estimates (the (N, n) per-step history of one run, or the
+    (R, n) final estimates of R runs), the prediction errors ((N,) or
+    (R, N)), the (N,) gains alpha and the (N, 1) gain scalars phi' Sigma phi
+    of the one block.
     """
-    n = phis.shape[1]
-    return _trajectory(phis, ys, theta0, init_c, np.array([0, n]),
-                       np.array([1.0 / info_weight]), noise_var)
+    return central(theta0, init_c, noise_var, info_weight).advance(phis, ys)
 
 
 def distributed_trajectory(phis, ys, theta0, init_c, offsets, gammas, noise_var):
-    """Run the fused distributed recursion over all samples.
+    """Run the fused distributed recursion over all samples at once.
 
-    Node i starts from init_c * I of its own order, offsets[i]:offsets[i+1].
     ys, the estimates and the prediction errors are shaped as in
     ``central_trajectory``.  Returns the estimates, prediction errors,
     shared gains alpha (N,) and the per-node upstream gain scalars
     phi_i' Sigma_i phi_i of every round (N, m).
     """
-    return _trajectory(phis, ys, theta0, init_c, offsets,
-                       np.asarray(gammas, dtype=float) ** 2, noise_var)
+    return distributed(theta0, init_c, offsets, gammas, noise_var).advance(phis, ys)

@@ -253,7 +253,7 @@ class TestRunWriters:
         for mode in failing:
             def fail(*args, mode=mode):
                 raise NumericError(f"the {mode} kernel failed")
-            monkeypatch.setattr(misoid.kernels, f"{mode}_trajectory", fail)
+            monkeypatch.setattr(misoid.kernels, mode, fail)
         system = _gen_system(tmp_path)
         capsys.readouterr()
         assert main(_run_argv(system, "both", tmp_path / "x")) == 2
@@ -373,7 +373,7 @@ class TestRunWriters:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(misoid.kernels, "distributed_trajectory", interrupted)
+        monkeypatch.setattr(misoid.kernels, "distributed", interrupted)
         system = _gen_system(tmp_path)
         with pytest.raises(KeyboardInterrupt):
             main(_run_argv(system, "both", tmp_path / "x", samples=400))
