@@ -255,7 +255,7 @@ class RowWriter:
         # size of each mmapped block it frees; this block, freed at once,
         # keeps the temporaries on the heap, so their pages are not faulted
         # in anew for every block
-        np.empty(CSV_BLOCK * 256, np.uint8)
+        np.empty(CSV_BLOCK * 128, np.uint8)
         self.block = np.empty((max(1, CSV_BLOCK // len(header)), len(header)))
 
     def append(self, columns):

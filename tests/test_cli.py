@@ -9,6 +9,8 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -368,6 +370,30 @@ class TestRunWriters:
         if mode == "monitor":
             assert target.read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize("failing", ["central", "distributed"])
+    def test_a_failing_estimator_stops_the_other(self, tmp_path, capsys, monkeypatch, failing):
+        # the other estimator, forked or not, stops at its next chunk: the
+        # command takes about as long as a chunk of the draw, not as long as
+        # the other estimator's whole run and CSV
+        other = "distributed" if failing == "central" else "central"
+        system = _gen_system(tmp_path)
+        start = time.perf_counter()
+        assert main(_run_argv(system, other, tmp_path / "one", samples=10000)) == 0
+        whole = time.perf_counter() - start
+
+        def fail(*args):
+            raise NumericError(f"the {failing} kernel failed")
+
+        monkeypatch.setattr(misoid.kernels, failing, fail)
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(_run_argv(system, "both", tmp_path / "x", samples=10000)) == 2
+        assert time.perf_counter() - start < whole / 3
+        _no_child_left()
+        assert capsys.readouterr() == ("", f"error: the {failing} kernel failed\n")
+        _no_temporary_left(tmp_path)
+        assert not list(tmp_path.glob("x-*"))
+
     def test_interrupt_reaps_the_child_and_removes_temporaries(self, tmp_path, monkeypatch):
         # this process's own kernel is interrupted while the child runs central
         def interrupted(*args):
@@ -420,6 +446,32 @@ class TestRunWriters:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.count("pending") == 1
         assert proc.stdout.count("info: wrote") == 2
+
+
+def test_run_memory_does_not_grow_with_samples(tmp_path):
+    # each estimator is drawn, estimated and written a chunk at a time
+    system = _gen_system(tmp_path)
+    peaks = []
+    for samples in (2000, 20000):
+        tracemalloc.start()
+        try:
+            assert main(_run_argv(system, "distributed", tmp_path / "x", samples)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 300_000
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # n = 156: a product over all 3500 rows splits them between two threads at
+    # row 1750, which changed the last bits of the outputs from there on
+    code = ("import hashlib; from misoid.experiment import ExperimentConfig, draw, random_system; "
+            "system = random_system(ExperimentConfig(seed=0, m=100, order_range=(1, 2))); "
+            "ys = draw(system, ExperimentConfig(seed=1, samples=3500))[1]; "
+            "print(hashlib.sha256(ys.tobytes()).hexdigest())")
+    runs = [_python("-c", code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
 
 
 class TestEntry:
