@@ -116,6 +116,8 @@ CSV_BLOCK = 8192
 _SPLIT = 134217729.0
 #: bytes of one float's text template (see _FloatText.fields)
 _FIELD = 30
+#: the decimal exponents, -_E.._E, of _FloatText's table of templates' bytes
+_E = 260
 
 
 def _split(x):
@@ -130,7 +132,13 @@ class _FloatText:
     Holds the (hi, lo) double pairs of the powers of ten a file needs:
     hi is 10**s correctly rounded and lo the rest, correctly rounded, so
     hi + lo is 10**s to about 2**-106.  Pairs are built on first use.
+    by_e holds a template's bytes 1..5 (the "0." and up to three zeros
+    before the digits of a value in [1e-4, 1)) and 24..28 (the "e+XXX" of
+    %g's exponent form) by the value's decimal exponent e, at e + _E; it
+    is built once per process.
     """
+
+    by_e = None
 
     def __init__(self):
         import numpy as np
@@ -139,6 +147,11 @@ class _FloatText:
         self.have = np.zeros(540, dtype=bool)
         self.special = np.array([list(("%.17g" % v).encode().ljust(_FIELD - 1, b"\0"))
                                  for v in (0.0, -0.0, math.inf, -math.inf, math.nan)], np.uint8)
+        if _FloatText.by_e is None:
+            texts = [(("0." + "0" * (-1 - e)) if -4 <= e < 0 else "").ljust(5, "\0")
+                     + ("" if -4 <= e <= 16 else f"e{e:+03d}").ljust(5, "\0")
+                     for e in range(-_E, _E + 1)]
+            _FloatText.by_e = np.frombuffer("".join(texts).encode(), np.uint8).reshape(-1, 10).T.copy()
 
     def _pow10(self, s):
         import numpy as np
@@ -210,24 +223,23 @@ class _FloatText:
         before = np.where(fixed, np.maximum(e, -1), 0)  # digits 0..before precede the point
         out = np.empty((_FIELD, x.size), np.uint8)
         out[0] = 45 * (x < 0)
-        out[1], out[2] = 48 * lead, 46 * lead
-        out[3:6] = 48 * (lead & (e <= -col[2:5]))
+        for row, table in zip((1, 2, 3, 4, 5, 24, 25, 26, 27, 28), self.by_e):
+            table.take(e + _E, out=out[row], mode="clip")  # |e| <= 251 here
         area = out[6:24]  # digits 0..unmoved, then the point slot, then the other digits
-        area[:17] = (dig + 48) * (col[:17] <= np.maximum(last, before))
+        kept = (dig + 48) * (col[:17] <= np.maximum(last, before))
+        area[:17] = kept
         area[17] = 0
         unmoved = np.where(lead, 16, before)
-        area += (np.roll(area, 1, axis=0) - area) * (col > unmoved)
+        area[1:] += (kept - area[1:]) * (col[1:] > unmoved)
         area += (np.uint8(46) * ((last > before) & ~lead) - area) * (col == unmoved + 1)
-        expo, ae = ~fixed, np.abs(e)
-        out[24], out[25] = 101 * expo, (43 + 2 * (e < 0)) * expo
-        out[26] = (48 + ae // 100) * (expo & (ae >= 100))
-        out[27], out[28] = (48 + ae // 10 % 10) * expo, (48 + ae % 10) * expo
-        special = np.flatnonzero(~np.isfinite(x) | (x == 0))
-        if special.size:
-            v = x[special]
-            out[:-1, special] = self.special[np.where(v == 0, np.signbit(v),
-                                                      np.where(np.isnan(v), 4, 2 + (v < 0)))].T
-        slow = np.flatnonzero(tie | ~direct & np.isfinite(x) & (x != 0))
+        odd = np.flatnonzero(~direct)  # zeros, infinities, NaNs and values the split cannot take
+        v = x[odd]
+        special = (v == 0) | ~np.isfinite(v)
+        if special.any():
+            v = v[special]
+            out[:-1, odd[special]] = self.special[np.where(v == 0, np.signbit(v),
+                                                           np.where(np.isnan(v), 4, 2 + (v < 0)))].T
+        slow = np.concatenate([np.flatnonzero(tie), odd[~special]])
         for i in slow.tolist():
             out[:-1, i] = list(("%.17g" % x[i]).encode().ljust(_FIELD - 1, b"\0"))
         return out, slow.size

@@ -105,28 +105,26 @@ def build_regressors(system: MisoSystem, inputs, past=None) -> np.ndarray:
     """Stacked regressor rows phi(t), one per row of inputs.
 
     past holds the p - 1 input rows before the first, p the largest order;
-    None is the zero pre-window of a run's start.  The rows are gathered
-    64 at a time.
+    None is the zero pre-window of a run's start.
     """
     inputs = np.asarray(inputs, dtype=float)
-    n_samples, m = inputs.shape[0], system.m
-    if n_samples and inputs.shape[1] != m:
+    n_samples = inputs.shape[0]
+    if n_samples and inputs.shape[1] != system.m:
         raise DimensionError(
-            f"inputs have {inputs.shape[1]} channels, system has {m}"
+            f"inputs have {inputs.shape[1]} channels, system has {system.m}"
         )
-    orders = np.array(system.orders)
-    last = orders.max() - 1
+    last = max(system.orders) - 1
     if past is None:
-        past = np.zeros((last, m))
-    # phi(t) holds module i's input at lag l in column offsets[i] + l: the
-    # value at t + last - l of window, whose row last is inputs' row 0
-    window = np.concatenate([past, inputs.reshape(n_samples, m)]).ravel()
-    lags = np.arange(system.n) - np.repeat(block_offsets(orders)[:-1], orders)
-    at = (last - lags) * m + np.repeat(np.arange(m), orders)
+        past = np.zeros((last, system.m))
     phis = np.empty((n_samples, system.n))
-    for start in range(0, n_samples, 64):
-        rows = phis[start:start + 64]
-        np.take(window, at + m * np.arange(start, start + len(rows))[:, None], out=rows)
+    col = 0
+    for i, ni in enumerate(system.orders):
+        for lag in range(ni):
+            # phi(t) holds the input at t - lag, which lies in past for t < lag
+            head = min(lag, n_samples)
+            phis[:head, col + lag] = past[last - lag:last - lag + head, i]
+            phis[head:, col + lag] = inputs[:n_samples - head, i]
+        col += ni
     return phis
 
 
@@ -170,7 +168,7 @@ def draw(system: MisoSystem, config: ExperimentConfig):
 
 #: steps per chunk of a streamed run: a multiple of kernels.CHUNK and
 #: lyapunov.CHUNK, so that a run's bytes do not depend on it
-STREAM_CHUNK = 64
+STREAM_CHUNK = 512
 
 
 def _drawn(system: MisoSystem, config: ExperimentConfig, between=None):

@@ -1,8 +1,9 @@
 """Golden bytes: the sha256 of every CSV, stdout and stderr of ``run`` and ``monitor``.
 
 The digests pin the outputs of a small system at lengths around the
-kernels' and the monitor's 16-step chunks and a streamed run's 64-step
-chunks, and at lengths that are no multiple of either.  Any change to the
+kernels' and the monitor's 16-step chunks, the 64-row blocks of the
+outputs' products and a streamed run's 512-step chunks, and at lengths
+that are no multiple of any.  Any change to the
 arithmetic, its order, or the text of a value changes a digest.
 
 The bytes depend on the BLAS kernels numpy runs, so the digests hold for
@@ -20,7 +21,7 @@ import pytest
 
 from misoid.cli import main
 
-SAMPLES = [0, 1, 15, 16, 17, 63, 64, 65, 200, 1000]
+SAMPLES = [0, 1, 15, 16, 17, 63, 64, 65, 200, 513, 1000]
 
 #: numpy's version and its OpenBLAS core when the digests were recorded
 RECORDED_ON = ("2.4.6", "SkylakeX")
@@ -128,6 +129,16 @@ GOLDEN = {
         "run-both-monitor": "6f7d47a88ba5606a",
         "monitor-central": "f0680cd9a57f2675",
         "monitor-distributed": "d869aa321753047e",
+    },
+    513: {
+        "run-central": "af794a3eb656e7c8",
+        "run-distributed": "dd9dc08e947c8bfc",
+        "run-both": "0a26c523fa6b3c45",
+        "run-central-monitor": "03edfc6b79ad2d06",
+        "run-distributed-monitor": "16f07c2b2a876bf2",
+        "run-both-monitor": "51eee832f182b5b6",
+        "monitor-central": "ddc4f5284442562f",
+        "monitor-distributed": "311dddcfe9c94e85",
     },
     1000: {
         "run-central": "acbdd66240acc8d5",
