@@ -194,14 +194,15 @@ def _commit(args, monitor, target_of, finish) -> int:
     from .experiment import Stream
 
     system, config = _setup(args)
+    streams = [Stream(mode, system, config, monitor) for mode in config.modes]
     targets = [target_of(mode) for mode in config.modes]
     temps = [f"{path}.{os.getpid()}.tmp" for path in targets]
 
     def job(i, between):
         """Job i's exit code, and its lines or its one error line."""
-        mode, target, temp = config.modes[i], targets[i], temps[i]
+        stream, target, temp = streams[i], targets[i], temps[i]
+        stream.between = between
         try:
-            stream = Stream(mode, system, config, monitor, between)
             try:
                 return EXIT_OK, f"info: wrote {target}\n{finish(stream, temp)}"
             except OSError as exc:

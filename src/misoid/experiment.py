@@ -13,9 +13,10 @@ run_estimator passes a whole draw through it as one chunk, and Stream
 draws and estimates STREAM_CHUNK steps at a time for the CLI, whose
 writers append each chunk to its CSV, so a streamed run's memory does not
 grow with N.  Chunks hold a multiple of the kernels' and the monitor's
-16 steps, so both give the same bytes.  The Lyapunov monitor and the CSV
-module are imported by the calls that use them, so a run that neither
-monitors nor writes a file loads neither.
+16 steps, so both give the same bytes.  The kernels, the Lyapunov
+monitor and the CSV module are imported by the calls that use them, so
+drawing signals loads none of them, and a run that neither monitors nor
+writes a file loads neither of the last two.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionError, NumericError, ParameterError, check_scale
 from .fir import FirModule, MisoSystem, block_offsets
 
@@ -90,14 +90,19 @@ def _check_samples(system: MisoSystem, n_samples: int):
         )
 
 
+def _generators(config: ExperimentConfig):
+    """The generators of config's inputs and output noise."""
+    return (np.random.default_rng([config.seed, _STREAM_INPUTS]),
+            np.random.default_rng([config.seed, _STREAM_NOISE]))
+
+
 def generate_signals(system: MisoSystem, config: ExperimentConfig):
     """i.i.d. unit-variance Gaussian inputs per channel and white Gaussian output noise."""
     n_samples = config.samples
     _check_samples(system, n_samples)
-    rng_u = np.random.default_rng([config.seed, _STREAM_INPUTS])
+    rng_u, rng_v = _generators(config)
     inputs = rng_u.normal(0.0, 1.0, size=(n_samples, system.m))
     # at noise_std = 0 every draw is exactly +0.0
-    rng_v = np.random.default_rng([config.seed, _STREAM_NOISE])
     return inputs, rng_v.normal(0.0, config.noise_std, size=n_samples)
 
 
@@ -171,26 +176,27 @@ def draw(system: MisoSystem, config: ExperimentConfig):
 STREAM_CHUNK = 512
 
 
-def _drawn(system: MisoSystem, config: ExperimentConfig, between=None):
-    """draw(system, config) STREAM_CHUNK rows at a time, as (phis, ys) chunks.
+def _drawn(system: MisoSystem, config: ExperimentConfig, generators):
+    """draw(system, config) STREAM_CHUNK rows at a time, as (phis, ys) chunks,
+    from the unused _generators(config).
 
     numpy's generators give the same values drawn in row chunks as drawn at
     once, and each chunk's regressors read the p - 1 input rows before it.
-    A run of no samples is one empty chunk.  between(), if given, is called
-    before every chunk but the first.  The whole (N, m) input array is
-    allocated once and never touched, so that a count memory could not
+    A run of no samples is one empty chunk.  The whole (N, m) input array
+    is allocated once and never touched, so that a count memory could not
     hold ends at once in MemoryError, as the whole-array draw does.
     """
+    from .kernels import CHUNK
+
     _check_samples(system, config.samples)
     np.empty((config.samples, system.m))
-    rng_u = np.random.default_rng([config.seed, _STREAM_INPUTS])
-    rng_v = np.random.default_rng([config.seed, _STREAM_NOISE])
+    rng_u, rng_v = generators
     past = np.zeros((max(system.orders) - 1, system.m))
     start = 0
     while True:
         rows = min(STREAM_CHUNK, config.samples - start)
         if config.samples - start - rows == 1:
-            rows -= kernels.CHUNK  # a last chunk of one row would take a one-row product
+            rows -= CHUNK  # no last chunk of one row (see outputs_from_regressors)
         inputs = rng_u.normal(0.0, 1.0, size=(rows, system.m))
         phis = build_regressors(system, inputs, past)
         past = np.concatenate([past, inputs])[rows:]
@@ -199,8 +205,6 @@ def _drawn(system: MisoSystem, config: ExperimentConfig, between=None):
         start += rows
         if start >= config.samples:
             return
-        if between is not None:
-            between()
 
 
 @dataclass(frozen=True)
@@ -225,8 +229,9 @@ class Trajectory:
         return float(self.err_norm_sq[-1])
 
 
-def _recursion(mode, system: MisoSystem, config: ExperimentConfig):
-    """mode's kernel recursion from theta = 0, its block offsets and weights.
+def _layout(mode, system: MisoSystem, config: ExperimentConfig):
+    """The arguments of mode's kernel (kernels.central or kernels.distributed)
+    from theta = 0, and the run's block offsets and weights.
 
     Central RLS is the distributed recursion's one-block case: one node
     holding all n parameters with information weight 1/gamma^2.  The layout
@@ -236,11 +241,9 @@ def _recursion(mode, system: MisoSystem, config: ExperimentConfig):
     head = (np.zeros(system.n), config.init_c)
     if mode == "central":
         weight = 1.0 / config.gamma**2
-        return (kernels.central(*head, config.noise_std**2, weight),
-                np.array([0, system.n]), np.array([weight]))
+        return (*head, config.noise_std**2, weight), np.array([0, system.n]), np.array([weight])
     offsets, gammas = block_offsets(system.orders), np.full(system.m, float(config.gamma))
-    return (kernels.distributed(*head, offsets, gammas, config.noise_std**2),
-            offsets, 1.0 / gammas**2)
+    return (*head, offsets, gammas, config.noise_std**2), offsets, 1.0 / gammas**2
 
 
 def _estimates(mode, system: MisoSystem, chunks, config: ExperimentConfig, monitor: bool):
@@ -248,48 +251,36 @@ def _estimates(mode, system: MisoSystem, chunks, config: ExperimentConfig, monit
 
     The kernels reject non-finite estimates, so only the squared error can
     overflow; that raises NumericError naming the first such step, before
-    the Lyapunov monitor reads the same errors.  A failure is the one the
-    whole run would raise at once: the kernel's first, else the squared
-    error's, else the monitor's.  So after an overflow or a monitor failure
-    no chunk is yielded, and the kernel, and after a monitor failure the
-    squared error, still run to the end.
+    the Lyapunov monitor reads the same errors.  A run stops at the first
+    chunk that fails, the kernel's failure first, then the squared
+    error's, then the monitor's.
     """
-    recursion, offsets, weights = _recursion(mode, system, config)
+    from . import kernels
+
+    args, offsets, weights = _layout(mode, system, config)
+    recursion = getattr(kernels, mode)(*args)
     watch = None
     if monitor:
         from .lyapunov import Monitor
 
         watch = Monitor(mode, config.noise_std**2, config.init_c, weights, offsets)
     theta_true = system.theta_true()
-    last = np.zeros(system.n) - theta_true  # the error at state 0
-    start, failure = 0, None
+    last, start = np.zeros(system.n) - theta_true, 0  # the error at state 0
     for phis, ys in chunks:
         history, eps, alpha, gains = recursion.advance(phis, ys)
-        start += len(phis)
-        if failure is not None and failure[0] == "overflow":
-            continue
-        # errors at the states before and after each step of the chunk
+        # the errors at the states before and after each of the chunk's steps
         errors = np.empty((len(phis) + 1, system.n))
         errors[0] = last
         np.subtract(history, theta_true, out=errors[1:])
-        last = errors[-1]
         with np.errstate(over="ignore"):
             err_norm_sq = np.sum(errors[1:]**2, axis=1)
         bad = ~np.isfinite(err_norm_sq)
         if bad.any():
-            failure = "overflow", NumericError(
-                f"{mode} run: the squared estimation error overflows at step "
-                f"{start - len(phis) + int(np.argmax(bad))}")
-        if failure is not None:
-            continue
-        try:
-            report = watch and watch.advance(errors, phis, alpha, gains)
-        except NumericError as exc:
-            failure = "monitor", exc
-            continue
+            raise NumericError(f"{mode} run: the squared estimation error overflows at step "
+                               f"{start + int(np.argmax(bad))}")
+        report = watch and watch.advance(errors, phis, alpha, gains)
         yield Trajectory(mode, errors[1:], eps, alpha, err_norm_sq, report)
-    if failure is not None:
-        raise failure[1]
+        last, start = errors[-1], start + len(phis)
 
 
 def run_estimator(mode, system: MisoSystem, phis, ys, config: ExperimentConfig,
@@ -301,7 +292,9 @@ def run_estimator(mode, system: MisoSystem, phis, ys, config: ExperimentConfig,
     realizations, which share one gain sequence.
     """
     if np.ndim(ys) == 2:
-        return _recursion(mode, system, config)[0].advance(phis, ys)[0]
+        from . import kernels
+
+        return getattr(kernels, f"{mode}_trajectory")(phis, ys, *_layout(mode, system, config)[0])[0]
     (trajectory,) = _estimates(mode, system, [(phis, ys)], config, monitor)
     return trajectory
 
@@ -311,7 +304,9 @@ class Stream:
     steps at a time, so that it holds no array whose size grows with N.
 
     Iterating it runs the estimator once: it yields the run's consecutive
-    Trajectory chunks and calls between() before every chunk but the first.
+    Trajectory chunks and calls between(), if given, after each.  Its
+    generators are made with it, so that a process that makes its streams
+    and then forks loads numpy's generators once (about 10-18 ms).
     After each chunk, steps counts the steps so far, last is the chunk, and
     violations and orthogonal_steps count the monitor's flags.  Every chunk
     has the bytes of the same rows of run_estimator on draw(system, config).
@@ -322,18 +317,19 @@ class Stream:
         self.mode, self.system, self.config = mode, system, config
         self.monitor, self.between = monitor, between
         self.steps = self.violations = self.orthogonal_steps = 0
-        self.last = None
+        self.last, self.generators = None, _generators(config)
 
     def __iter__(self):
-        for chunk in _estimates(self.mode, self.system,
-                                _drawn(self.system, self.config, self.between),
-                                self.config, self.monitor):
+        chunks = _drawn(self.system, self.config, self.generators)
+        for chunk in _estimates(self.mode, self.system, chunks, self.config, self.monitor):
             self.steps += chunk.samples
             self.last = chunk
             if chunk.monitor is not None:
                 self.violations += len(chunk.monitor.violations)
                 self.orthogonal_steps += len(chunk.monitor.orthogonal_steps)
             yield chunk
+            if self.between is not None:
+                self.between()
 
 
 def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
