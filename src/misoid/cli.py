@@ -292,10 +292,10 @@ def _commit(args, monitor, target_of, finish) -> int:
 
 
 def cmd_run(args) -> int:
-    from . import experiment
+    from .experiment import write_trajectory_csv
 
     def finish(stream, temp):
-        experiment.write_trajectory_csv(stream, temp)
+        write_trajectory_csv(stream, temp)
         if not stream.steps:
             return ""
         return (f"result: {stream.mode} "
@@ -305,14 +305,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    from . import lyapunov
+    from .lyapunov import write_monitor_csv
 
     def finish(stream, temp):
         if not args.samples:
             for _ in stream:  # W at state 0 is checked all the same
                 pass
             raise ParameterError("no samples to monitor")
-        lyapunov.write_monitor_csv((chunk.monitor for chunk in stream), temp)
+        write_monitor_csv((chunk.monitor for chunk in stream), temp)
         noise = (f"info: sigma={args.sigma:g} > 0: violations (steps with deltaW > 0) "
                  "then include noise-driven increases\n") if args.sigma > 0 else ""
         return noise + (f"result: violations={stream.violations} "

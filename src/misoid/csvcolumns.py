@@ -251,7 +251,7 @@ class RowWriter:
     The writer writes the header at once.  append takes the next rows as
     write_csv_rows takes its columns; the rows are copied into one block of
     about CSV_BLOCK values, which is formatted and written whenever it is
-    full, and close writes what is left.  So a file written in any number
+    full, and flush writes what is left.  So a file written in any number
     of appends has the bytes, and the blocks, of one write_csv_rows call.
     slow counts the values that Python's ``%`` formatted.
     """
@@ -286,9 +286,9 @@ class RowWriter:
             self.filled += take
             start += take
             if self.filled == len(self.block):
-                self.close()
+                self.flush()
 
-    def close(self):
+    def flush(self):
         """Format and write the rows not yet written."""
         if self.filled:
             fields, slow = self.text.fields(self.block[:self.filled].ravel())
@@ -326,5 +326,5 @@ def write_csv_rows(path, header, columns):
     with open(path, "wb") as fh:
         rows = RowWriter(fh, header)
         rows.append(columns)
-        rows.close()
+        rows.flush()
     return rows.slow

@@ -304,7 +304,7 @@ class Stream:
     steps at a time, so that it holds no array whose size grows with N.
 
     Iterating it runs the estimator once: it yields the run's consecutive
-    Trajectory chunks and calls between(), if given, after each.  Its
+    Trajectory chunks and calls between(), when set, after each.  Its
     generators are made with it, so that a process that makes its streams
     and then forks loads numpy's generators once (about 10-18 ms).
     After each chunk, steps counts the steps so far, last is the chunk, and
@@ -312,10 +312,9 @@ class Stream:
     has the bytes of the same rows of run_estimator on draw(system, config).
     """
 
-    def __init__(self, mode, system: MisoSystem, config: ExperimentConfig, monitor: bool,
-                 between=None):
+    def __init__(self, mode, system: MisoSystem, config: ExperimentConfig, monitor: bool):
         self.mode, self.system, self.config = mode, system, config
-        self.monitor, self.between = monitor, between
+        self.monitor, self.between = monitor, None
         self.steps = self.violations = self.orthogonal_steps = 0
         self.last, self.generators = None, _generators(config)
 
@@ -407,7 +406,7 @@ def write_trajectory_csv(trajectory, path):
                 columns += chunk.monitor.columns().values()
             rows.append(columns)
             k += chunk.samples
-        rows.close()
+        rows.flush()
 
 
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +50,7 @@ class MisoSystem:
     def m(self) -> int:
         return len(self.modules)
 
-    @cached_property
+    @property
     def orders(self) -> tuple[int, ...]:
         return tuple(mod.order for mod in self.modules)
 

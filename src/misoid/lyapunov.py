@@ -222,4 +222,4 @@ def write_monitor_csv(report, path):
         for chunk in reports:
             rows.append([np.arange(k, k + len(chunk.records)), *chunk.columns().values()])
             k += len(chunk.records)
-        rows.close()
+        rows.flush()
