@@ -106,29 +106,19 @@ def generate_signals(system: MisoSystem, config: ExperimentConfig):
     return inputs, rng_v.normal(0.0, config.noise_std, size=n_samples)
 
 
-def build_regressors(system: MisoSystem, inputs, past=None) -> np.ndarray:
-    """Stacked regressor rows phi(t), one per row of inputs.
-
-    past holds the p - 1 input rows before the first, p the largest order;
-    None is the zero pre-window of a run's start.
-    """
+def build_regressors(system: MisoSystem, inputs) -> np.ndarray:
+    """Stacked regressor rows phi(t) for t = 0..N-1 with zero pre-windows."""
     inputs = np.asarray(inputs, dtype=float)
     n_samples = inputs.shape[0]
     if n_samples and inputs.shape[1] != system.m:
         raise DimensionError(
             f"inputs have {inputs.shape[1]} channels, system has {system.m}"
         )
-    last = max(system.orders) - 1
-    if past is None:
-        past = np.zeros((last, system.m))
-    phis = np.empty((n_samples, system.n))
+    phis = np.zeros((n_samples, system.n))
     col = 0
     for i, ni in enumerate(system.orders):
-        for lag in range(ni):
-            # phi(t) holds the input at t - lag, which lies in past for t < lag
-            head = min(lag, n_samples)
-            phis[:head, col + lag] = past[last - lag:last - lag + head, i]
-            phis[head:, col + lag] = inputs[:n_samples - head, i]
+        for lag in range(min(ni, n_samples)):
+            phis[lag:, col + lag] = inputs[: n_samples - lag, i]
         col += ni
     return phis
 
@@ -191,15 +181,17 @@ def _drawn(system: MisoSystem, config: ExperimentConfig, generators):
     _check_samples(system, config.samples)
     np.empty((config.samples, system.m))
     rng_u, rng_v = generators
+    # the last p - 1 input rows; the rows of a window that starts with them
+    # are the chunk's, once the first p - 1, whose pre-window is zero, go
     past = np.zeros((max(system.orders) - 1, system.m))
     start = 0
     while True:
         rows = min(STREAM_CHUNK, config.samples - start)
         if config.samples - start - rows == 1:
             rows -= CHUNK  # no last chunk of one row (see outputs_from_regressors)
-        inputs = rng_u.normal(0.0, 1.0, size=(rows, system.m))
-        phis = build_regressors(system, inputs, past)
-        past = np.concatenate([past, inputs])[rows:]
+        window = np.concatenate([past, rng_u.normal(0.0, 1.0, size=(rows, system.m))])
+        phis = build_regressors(system, window)[len(past):]
+        past = window[rows:]
         yield phis, outputs_from_regressors(system, phis,
                                             rng_v.normal(0.0, config.noise_std, size=rows))
         start += rows
@@ -372,12 +364,12 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
     """
     inputs, _ = generate_signals(system, config)
     phis = build_regressors(system, inputs)
-    noise = np.empty((config.monte_carlo_runs, config.samples))
+    clean = outputs_from_regressors(system, phis, 0.0)  # adding 0.0 changes no sum below
+    ys = np.empty((config.monte_carlo_runs, config.samples))
     for r in range(config.monte_carlo_runs):
         rng = np.random.default_rng([config.seed, _STREAM_MC_NOISE, r])
-        noise[r] = rng.normal(0.0, config.noise_std, size=config.samples)
-    return run_estimator("distributed", system, phis,
-                         outputs_from_regressors(system, phis, noise), config)
+        ys[r] = clean + rng.normal(0.0, config.noise_std, size=config.samples)
+    return run_estimator("distributed", system, phis, ys, config)
 
 
 def write_trajectory_csv(trajectory, path):
