@@ -14,7 +14,8 @@ renamed onto their targets only when every estimator and write
 succeeded, and every line is printed by this process, in mode order.
 ``run --mode both`` runs the central estimator in a forked child, which
 reports its exit code through its exit status and its lines through a
-pipe; when one estimator fails, the other stops at its next chunk.
+pipe; the two share one failure flag, and when one estimator fails, the
+other stops at its next chunk.
 Importing this module sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is
 set.  The ``misoid`` script and ``python -m misoid.cli`` run ``entry``,
 which is ``main`` without the cyclic garbage collector; ``main`` leaves
@@ -125,22 +126,17 @@ def cmd_gen_system(args) -> int:
     return EXIT_OK
 
 
-class _Stopped(Exception):
-    """Ends a job between two chunks, because another job failed."""
-
-
-def _fork(job, closing):
+def _fork(job):
     """Fork a child that runs job(); return its pid and this process's end
     of the pipe it reports on, or None when this process cannot fork, and
     then it runs job itself.
 
-    job returns an exit code and a text.  The child first closes the file
-    descriptors in closing, then writes the text to the pipe and ends with
-    the code, or with a traceback and exit 1 for an unexpected error.  It
-    prints nothing and leaves through os._exit, so nothing of the caller
-    (buffered stdout, exit handlers, a test runner's teardown) runs or
-    flushes in it.  OpenBLAS joins its worker threads at fork, so the
-    process forks with one thread.
+    job returns an exit code and a text.  The child writes the text to the
+    pipe and ends with the code, or with a traceback and exit 1 for an
+    unexpected error.  It prints nothing and leaves through os._exit, so
+    nothing of the caller (buffered stdout, exit handlers, a test runner's
+    teardown) runs or flushes in it.  OpenBLAS joins its worker threads at
+    fork, so the process forks with one thread.
     """
     import signal  # here, not at the top: building its enums costs about 1 ms
 
@@ -160,8 +156,7 @@ def _fork(job, closing):
     if pid == 0:
         code = 1
         try:
-            for fd in (reports, *closing):
-                os.close(fd)
+            os.close(reports)
             try:
                 code, text = job()
             except BaseException:  # ends the job as it would end a process
@@ -182,96 +177,65 @@ def _commit(args, monitor, target_of, finish) -> int:
     temp as the stream's chunks come and returns the lines printed after
     ``info: wrote <target_of(mode)>``.
 
-    Every job but the last runs in a forked child, and the jobs check on
-    each other between chunks: a job of this process stops when a child
-    has failed, and when one of them fails, this process closes the pipe
-    its children read, so that each stops at its next chunk.  A stopped
-    job is not a failure.  The temporaries lie beside their targets and
-    are renamed onto them, in mode order, only when every job succeeded;
-    else the first failure in mode order is printed.  An I/O error on a
-    temporary names its target.
+    Every job but the last runs in a forked child.  The jobs share one
+    failure flag, a byte of an anonymous mapping made before the forks: a
+    job that raises, or this process when it is interrupted, sets it, and
+    every job reads it after each chunk and, once it is set, ends its
+    stream there, closes its CSV and sends no lines.  A child ended by a
+    signal sets no flag, so the other jobs then run to their end.  The
+    temporaries lie beside their targets and are renamed onto them, in
+    mode order, only when every job succeeded; else the first failure in
+    mode order is printed.  An I/O error on a temporary names its target.
     """
+    import mmap
+
     from .experiment import Stream
 
     system, config = _setup(args)
     streams = [Stream(mode, system, config, monitor) for mode in config.modes]
     targets = [target_of(mode) for mode in config.modes]
     temps = [f"{path}.{os.getpid()}.tmp" for path in targets]
+    failed = mmap.mmap(-1, 1)
 
-    def job(i, between):
-        """Job i's exit code, and its lines or its one error line."""
+    def job(i):
+        """Job i's exit code, and its lines, its one error line or none."""
         stream, target, temp = streams[i], targets[i], temps[i]
-        stream.between = between
+        stream.between = lambda: failed[0]
         try:
-            try:
-                return EXIT_OK, f"info: wrote {target}\n{finish(stream, temp)}"
-            except OSError as exc:
-                if exc.filename == temp:
-                    exc.filename = target
+            text = finish(stream, temp)
+        except BaseException as exc:
+            failed[0] = 1
+            if not isinstance(exc, (OSError, MisoidError, MemoryError)):
                 raise
-        except _Stopped:
-            return EXIT_OK, ""
-        except (OSError, MisoidError, MemoryError) as exc:
+            if isinstance(exc, OSError) and exc.filename == temp:
+                exc.filename = target
             return _failure(exc)
+        return (EXIT_OK, "") if failed[0] else (EXIT_OK, f"info: wrote {target}\n{text}")
 
-    # each job's exit code and text; each forked job's pid and report pipe,
-    # and its wait status once reaped
-    outcomes, children, ended = [(EXIT_OK, "")] * len(temps), {}, {}
-    # a forked job reads stop; this process closes go to stop every one
-    stop, go = os.pipe()
-    os.set_blocking(stop, False)
-
-    def stopped():
-        """Between a forked job's chunks: stop when this process asks."""
-        try:
-            if not os.read(stop, 1):
-                raise _Stopped
-        except BlockingIOError:  # the pipe is open and empty: go on
-            pass
-
-    def child_failed():
-        """Between this process's chunks: stop when a forked job has failed."""
-        for i, (pid, _) in children.items():
-            if i not in ended:
-                done, status = os.waitpid(pid, os.WNOHANG)
-                if done:
-                    ended[i] = status
-            if ended.get(i):
-                raise _Stopped
-
-    def stop_children():
-        nonlocal go
-        if go is not None:
-            os.close(go)
-            go = None
-
+    # each job's exit code and text; each forked job's pid and report pipe
+    outcomes, children = [(EXIT_OK, "")] * len(temps), {}
     try:
         try:
             for i in range(len(temps) - 1):
-                if child := _fork(lambda i=i: job(i, stopped), [go]):
+                if child := _fork(lambda i=i: job(i)):
                     children[i] = child
             for i in range(len(temps)):
-                if i not in children and not any(code for code, _ in outcomes):
-                    outcomes[i] = job(i, child_failed)
-            if any(code for code, _ in outcomes):
-                stop_children()
+                if i not in children and not failed[0]:
+                    outcomes[i] = job(i)
         except BaseException:  # an interrupt, say
-            stop_children()
+            failed[0] = 1
             raise
         finally:
-            os.close(stop)
             # no child is left, nor writes, once the temporaries are removed
             for i, (pid, reports) in children.items():
                 with reports:
                     text = reports.read()
-                status = ended[i] if i in ended else os.waitpid(pid, 0)[1]
-                code = os.waitstatus_to_exitcode(status)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 how = f"was ended by signal {-code}" if code < 0 else f"ended with exit code {code}"
-                # a child that was stopped may end with no text
-                silent = not text and not (code == 0 and go is None)
+                # a child that was stopped ends with no text
+                silent = not text and not (code == 0 and failed[0])
                 outcomes[i] = (code, text) if code >= 0 and not silent else (
                     EXIT_IO, f"error: I/O failure: the writer of {targets[i]} {how}\n")
-            stop_children()
         for code, text in outcomes:
             if code:
                 sys.stderr.write(text)
@@ -296,7 +260,7 @@ def cmd_run(args) -> int:
 
     def finish(stream, temp):
         write_trajectory_csv(stream, temp)
-        if not stream.steps:
+        if not stream.last.samples:
             return ""
         return (f"result: {stream.mode} "
                 f"final_err_norm_sq={stream.last.final_err_norm_sq():.17g}\n")

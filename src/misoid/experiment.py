@@ -12,7 +12,8 @@ records, all carried from chunk to chunk by their own state.
 run_estimator passes a whole draw through it as one chunk, and Stream
 draws and estimates STREAM_CHUNK steps at a time for the CLI, whose
 writers append each chunk to its CSV, so a streamed run's memory does not
-grow with N.  Chunks hold a multiple of the kernels' and the monitor's
+grow with N; a Stream ends early when its between predicate says so.
+Monte Carlo calls the distributed kernel itself, on R outputs at once.  Chunks hold a multiple of the kernels' and the monitor's
 16 steps, so both give the same bytes.  The kernels, the Lyapunov
 monitor and the CSV module are imported by the calls that use them, so
 drawing signals loads none of them, and a run that neither monitors nor
@@ -276,17 +277,10 @@ def _estimates(mode, system: MisoSystem, chunks, config: ExperimentConfig, monit
 
 
 def run_estimator(mode, system: MisoSystem, phis, ys, config: ExperimentConfig,
-                  monitor: bool = False):
-    """Run mode's kernel over regressors phis (N, n) and outputs ys, as one chunk.
-
-    ys (N,) gives the run's Trajectory, with its monitor report when
-    monitor is set; ys (R, N) gives the (R, n) final estimates of R
-    realizations, which share one gain sequence.
-    """
-    if np.ndim(ys) == 2:
-        from . import kernels
-
-        return getattr(kernels, f"{mode}_trajectory")(phis, ys, *_layout(mode, system, config)[0])[0]
+                  monitor: bool = False) -> Trajectory:
+    """Run mode's kernel over regressors phis (N, n) and outputs ys (N,), as
+    one chunk: the run's Trajectory, with its monitor report when monitor
+    is set."""
     (trajectory,) = _estimates(mode, system, [(phis, ys)], config, monitor)
     return trajectory
 
@@ -296,31 +290,32 @@ class Stream:
     steps at a time, so that it holds no array whose size grows with N.
 
     Iterating it runs the estimator once: it yields the run's consecutive
-    Trajectory chunks and calls between(), when set, after each.  Its
+    Trajectory chunks, and asks between(), when set, after each chunk is
+    estimated: when it returns true, the stream ends there, without the
+    chunk, so that a writer that is stopped formats no more rows.  Its
     generators are made with it, so that a process that makes its streams
-    and then forks loads numpy's generators once (about 10-18 ms).
-    After each chunk, steps counts the steps so far, last is the chunk, and
-    violations and orthogonal_steps count the monitor's flags.  Every chunk
-    has the bytes of the same rows of run_estimator on draw(system, config).
+    and then forks loads numpy's generators once (about 10-18 ms).  After
+    each chunk, last is the chunk, and violations and orthogonal_steps
+    count the monitor's flags.  Every chunk has the bytes of the same rows
+    of run_estimator on draw(system, config).
     """
 
     def __init__(self, mode, system: MisoSystem, config: ExperimentConfig, monitor: bool):
         self.mode, self.system, self.config = mode, system, config
         self.monitor, self.between = monitor, None
-        self.steps = self.violations = self.orthogonal_steps = 0
+        self.violations = self.orthogonal_steps = 0
         self.last, self.generators = None, _generators(config)
 
     def __iter__(self):
         chunks = _drawn(self.system, self.config, self.generators)
         for chunk in _estimates(self.mode, self.system, chunks, self.config, self.monitor):
-            self.steps += chunk.samples
             self.last = chunk
             if chunk.monitor is not None:
                 self.violations += len(chunk.monitor.violations)
                 self.orthogonal_steps += len(chunk.monitor.orthogonal_steps)
+            if self.between is not None and self.between():
+                return
             yield chunk
-            if self.between is not None:
-                self.between()
 
 
 def run_central(system: MisoSystem, inputs, noise, config: ExperimentConfig,
@@ -362,6 +357,8 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
     The gain sequence depends on the regressors only, so one kernel call
     computes it once and carries every realization through the estimates.
     """
+    from . import kernels
+
     inputs, _ = generate_signals(system, config)
     phis = build_regressors(system, inputs)
     clean = outputs_from_regressors(system, phis, 0.0)  # adding 0.0 changes no sum below
@@ -369,7 +366,7 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
     for r in range(config.monte_carlo_runs):
         rng = np.random.default_rng([config.seed, _STREAM_MC_NOISE, r])
         ys[r] = clean + rng.normal(0.0, config.noise_std, size=config.samples)
-    return run_estimator("distributed", system, phis, ys, config)
+    return kernels.distributed_trajectory(phis, ys, *_layout("distributed", system, config)[0])[0]
 
 
 def write_trajectory_csv(trajectory, path):

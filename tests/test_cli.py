@@ -370,11 +370,16 @@ class TestRunWriters:
         if mode == "monitor":
             assert target.read_bytes() == b"kept\n"
 
-    @pytest.mark.parametrize("failing", ["central", "distributed"])
-    def test_a_failing_estimator_stops_the_other(self, tmp_path, capsys, monkeypatch, failing):
+    @pytest.mark.parametrize("failing,error", [("central", NumericError),
+                                               ("distributed", NumericError),
+                                               ("central", RuntimeError)],
+                             ids=["central", "distributed", "central-unexpected"])
+    def test_a_failing_estimator_stops_the_other(self, tmp_path, capsys, monkeypatch, failing,
+                                                  error):
         # the other estimator, forked or not, stops at its next chunk: the
         # command takes about as long as a chunk of the draw, not as long as
-        # the other estimator's whole run and CSV
+        # the other estimator's whole run and CSV; an unexpected error in
+        # the child stops it too
         other = "distributed" if failing == "central" else "central"
         system = _gen_system(tmp_path)
         start = time.perf_counter()
@@ -382,17 +387,48 @@ class TestRunWriters:
         whole = time.perf_counter() - start
 
         def fail(*args):
-            raise NumericError(f"the {failing} kernel failed")
+            raise error(f"the {failing} kernel failed")
 
         monkeypatch.setattr(misoid.kernels, failing, fail)
         capsys.readouterr()
         start = time.perf_counter()
-        assert main(_run_argv(system, "both", tmp_path / "x", samples=10000)) == 2
+        code = main(_run_argv(system, "both", tmp_path / "x", samples=10000))
         assert time.perf_counter() - start < whole / 3
         _no_child_left()
-        assert capsys.readouterr() == ("", f"error: the {failing} kernel failed\n")
+        out, err = capsys.readouterr()
+        if error is NumericError:
+            assert code == 2
+            assert (out, err) == ("", f"error: the {failing} kernel failed\n")
+        else:
+            # the child ends as a process would: its traceback and exit 1
+            lines = err.splitlines()
+            assert code == 1 and out == ""
+            assert lines[0] == "Traceback (most recent call last):"
+            assert lines[-1] == f"RuntimeError: the {failing} kernel failed"
         _no_temporary_left(tmp_path)
         assert not list(tmp_path.glob("x-*"))
+
+    def test_the_failure_flag_ends_with_its_command(self, tmp_path, capsys, monkeypatch):
+        # a run whose distributed kernel fails stops the forked central one;
+        # the next run in the same process runs both to the end, over
+        # several chunks, and writes both files
+        system = _gen_system(tmp_path)
+
+        def fail(*args):
+            raise NumericError("the distributed kernel failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(misoid.kernels, "distributed", fail)
+            assert main(_run_argv(system, "both", tmp_path / "x", samples=2000)) == 2
+        capsys.readouterr()
+        assert main(_run_argv(system, "both", tmp_path / "y", samples=2000)) == 0
+        _no_child_left()
+        out = capsys.readouterr().out
+        for mode in ("central", "distributed"):
+            assert f"info: wrote {tmp_path / f'y-{mode}.csv'}\n" in out
+            assert len((tmp_path / f"y-{mode}.csv").read_bytes().splitlines()) == 2001
+        assert not list(tmp_path.glob("x-*"))
+        _no_temporary_left(tmp_path)
 
     def test_interrupt_reaps_the_child_and_removes_temporaries(self, tmp_path, monkeypatch):
         # this process's own kernel is interrupted while the child runs central
