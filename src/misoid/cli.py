@@ -248,6 +248,7 @@ def _commit(args, monitor, target_of, finish) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     finally:
+        failed.close()
         for temp in temps:
             try:
                 os.unlink(temp)

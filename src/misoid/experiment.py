@@ -13,11 +13,12 @@ run_estimator passes a whole draw through it as one chunk, and Stream
 draws and estimates STREAM_CHUNK steps at a time for the CLI, whose
 writers append each chunk to its CSV, so a streamed run's memory does not
 grow with N; a Stream ends early when its between predicate says so.
-Monte Carlo calls the distributed kernel itself, on R outputs at once.  Chunks hold a multiple of the kernels' and the monitor's
-16 steps, so both give the same bytes.  The kernels, the Lyapunov
-monitor and the CSV module are imported by the calls that use them, so
-drawing signals loads none of them, and a run that neither monitors nor
-writes a file loads neither of the last two.
+Chunks hold a multiple of the kernels' and the monitor's 16 steps, so
+both give the same bytes.  Monte Carlo calls the distributed kernel
+itself, on R outputs at once.  The kernels, the Lyapunov monitor and the
+CSV module are imported by the calls that use them, so drawing signals
+loads none of them, and a run that neither monitors nor writes a file
+loads neither of the last two.
 """
 from __future__ import annotations
 
