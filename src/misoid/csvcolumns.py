@@ -115,8 +115,8 @@ CSV_BLOCK = 8192
 #: 2**27 + 1: Dekker's split of a double into two halves of 26 bits
 _SPLIT = 134217729.0
 #: bytes of one float's text template (see _FloatText.fields)
-_FIELD = 30
-#: the decimal exponents, -_E.._E, of _FloatText's table of templates' bytes
+_FIELD = 25
+#: the decimal exponents, -_E.._E, of _FloatText's tables
 _E = 260
 
 
@@ -129,13 +129,12 @@ def _split(x):
 class _FloatText:
     """``%.17g`` text of float64 values, whole blocks at a time.
 
-    Holds the (hi, lo) double pairs of the powers of ten a file needs:
-    hi is 10**s correctly rounded and lo the rest, correctly rounded, so
-    hi + lo is 10**s to about 2**-106.  Pairs are built on first use.
-    by_e holds a template's bytes 1..5 (the "0." and up to three zeros
-    before the digits of a value in [1e-4, 1)) and 24..28 (the "e+XXX" of
-    %g's exponent form) by the value's decimal exponent e, at e + _E; it
-    is built once per process.
+    pw holds, by decimal exponent e at e + _E, the (hi, lo) double pair of
+    10**(16 - e) and Dekker's halves (hh, hl) of hi: hi is the power
+    correctly rounded and lo the rest, correctly rounded, so hi + lo is the
+    power to about 2**-106.  Its entries are built on first use.  by_e
+    holds the "e+XXX" of %g's exponent form by e, at e + _E; it is built
+    once per process.
     """
 
     by_e = None
@@ -143,103 +142,142 @@ class _FloatText:
     def __init__(self):
         import numpy as np
 
-        self.hi, self.lo = np.zeros(540), np.zeros(540)  # index s + 270
-        self.have = np.zeros(540, dtype=bool)
+        self.pw = np.zeros((4, 2 * _E + 1))  # hi, lo, hh, hl
+        self.have = np.zeros(2 * _E + 1, dtype=bool)
         self.special = np.array([list(("%.17g" % v).encode().ljust(_FIELD - 1, b"\0"))
                                  for v in (0.0, -0.0, math.inf, -math.inf, math.nan)], np.uint8)
         if _FloatText.by_e is None:
-            texts = [(("0." + "0" * (-1 - e)) if -4 <= e < 0 else "").ljust(5, "\0")
-                     + ("" if -4 <= e <= 16 else f"e{e:+03d}").ljust(5, "\0")
+            texts = [("" if -4 <= e <= 16 else f"e{e:+03d}").ljust(5, "\0")
                      for e in range(-_E, _E + 1)]
-            _FloatText.by_e = np.frombuffer("".join(texts).encode(), np.uint8).reshape(-1, 10).T.copy()
+            _FloatText.by_e = np.frombuffer("".join(texts).encode(), np.uint8).reshape(-1, 5).T.copy()
 
-    def _pow10(self, s):
-        import numpy as np
+    def _digits(self, a, ie):
+        """D = round(a * 10**(16 - e)) as int64, for ie = e + _E, and the
+        fraction by which a * 10**(16 - e) exceeds D, in [-1/2, 1/2].
 
-        i = s + 270
-        used = np.zeros(540, dtype=bool)  # not np.unique, whose first call imports numpy.ma
-        used[i] = True
-        for j in np.flatnonzero(used & ~self.have).tolist():
-            num, den = (10 ** (j - 270), 1) if j >= 270 else (1, 10 ** (270 - j))
-            hi = num / den  # int true division rounds correctly
-            n, d = hi.as_integer_ratio()
-            self.hi[j], self.lo[j], self.have[j] = hi, (num * d - n * den) / (den * d), True
-        return self.hi[i], self.lo[i]
-
-    def _digits(self, a, s):
-        """D = round(a * 10**s) as int64; whether a * 10**s < 1e16; whether it is near a tie.
-
-        Dekker's split gives a * hi = p + err exactly, so a * 10**s is
-        p + err + a * lo up to about 1e-14 when it lies below 1e18.
+        Dekker's split gives a * hi = p + err exactly, so a * 10**(16 - e)
+        is p + err + a * lo up to about 1e-14 when it lies below 1e18.
         """
         import numpy as np
 
-        hi, lo = self._pow10(s)
+        first, last = int(ie.min()), int(ie.max())
+        for j in (np.flatnonzero(~self.have[first:last + 1]) + first).tolist():
+            s = 16 + _E - j
+            num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+            hi = num / den  # int true division rounds correctly
+            n, d = hi.as_integer_ratio()
+            self.pw[:, j] = hi, (num * d - n * den) / (den * d), *_split(hi)
+            self.have[j] = True
+        hi, lo, hh, hl = self.pw.take(ie, axis=1)
         p = a * hi
-        ah, al = _split(a)
-        hh, hl = _split(hi)
+        ah = a * _SPLIT
+        al = ah - a
+        ah -= al
+        np.subtract(a, ah, out=al)
+        # rest = (p - floor(p)) + ((((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo),
+        # summed in that order, in place
+        rest = ah * hh
+        rest -= p
+        for u, v in ((ah, hl), (al, hh), (al, hl), (a, lo)):
+            rest += np.multiply(u, v, out=hi)
         whole = np.floor(p)
-        rest = (p - whole) + ((((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo)
+        rest += np.subtract(p, whole, out=hi)
         near = np.floor(rest + 0.5)
-        whole = whole.astype(np.int64)
-        return (whole + near.astype(np.int64), whole + np.floor(rest).astype(np.int64) < 10**16,
-                np.abs(rest - near) > 0.5 - 1e-6)
+        d = whole.astype(np.int64)
+        d += near.astype(np.int64)
+        return d, np.subtract(rest, near, out=rest)
 
     def fields(self, x):
         """(_FIELD, x.size) uint8 templates of x's texts, one column per value, and the
         number of values that Python's ``%`` formatted.
 
-        A column holds the sign, a "0.000" prefix, the 17 digits of D with a
-        point slot among them, "e+XXX" and a separator slot.  Unused bytes
-        are NUL.
+        Byte 0 of a column is the sign and byte 24 a separator slot, left to
+        the caller.  In fixed form bytes 1..5 hold the "0." and up to three
+        zeros before the digits of a value in [1e-4, 1), and bytes 6..23
+        the 17 digits of D with a point slot among them; in exponent form
+        the digits and point start at byte 1 and "e+XXX" ends at byte 23.
+        Unused bytes are NUL.
         """
         import numpy as np
 
         a = np.abs(x)
         direct = (a >= 1e-250) & (a <= 1e250)  # the split product neither underflows nor overflows
-        a = np.where(direct, a, 1.0)
-        e = np.floor(np.log10(a)).astype(np.int64)  # wrong by one at most, near 10**e
-        d, low, tie = self._digits(a, 16 - e)
-        off = low | (d > 10**17)
-        if off.any():
-            e[off] += np.where(low[off], -1, 1)
-            d[off], _, tie[off] = self._digits(a[off], 16 - e[off])
-        top = d == 10**17  # rounding carried into an 18th digit
-        e = (e + top).astype(np.int16)
+        odd = None if direct.all() else np.flatnonzero(~direct)  # zeros, infinities, NaNs, the rest
+        if odd is not None:
+            a[odd] = 1.0
+        ie = np.floor(np.log10(a))  # e, wrong by one at most, near 10**e
+        ie += _E
+        ie = ie.astype(np.intp)
+        d, frac = self._digits(a, ie)
+        low = d - (frac < 0) < 10**16  # a * 10**(16 - e) < 1e16: e was one high
+        off = np.flatnonzero(low | (d > 10**17))
+        if off.size:
+            ie[off] += np.where(low[off], -1, 1)
+            d[off], frac[off] = self._digits(a[off], ie[off])
+        top = np.flatnonzero(d == 10**17)  # rounding carried into an 18th digit
+        ie[top] += 1
         d[top] = 10**16
-        high = d // 10**9
-        halves = np.stack([high, d - high * 10**9]).astype(np.uint32)  # 8 and 9 digits
-        dig = np.empty((18, x.size), np.uint8)  # dig[1:] are D's 17 digits
-        for i in range(8, -1, -1):
-            q = halves // 10
-            dig[i::9] = halves - q * 10
-            halves = q
-        dig = dig[1:]
+        e = ie.astype(np.int16)
+        e -= _E
+        # D's digits: halves of 8 and 9 digits, 4-digit groups, then pairs
+        halves = np.empty((2, x.size), np.uint32)
+        halves[0] = high = d // 10**9
+        d -= high * 10**9
+        halves[1] = d
+        q = halves // 10**4
+        quads = np.empty((2, 2, x.size), np.uint16)
+        quads[:, 1] = halves - q * 10**4
+        halves = q // 10**4  # the 9-digit half's leading digit, and 0
+        quads[:, 0] = q - halves * 10**4
+        q = quads // 100
+        pairs = np.empty((2, 2, 2, x.size), np.uint8)
+        pairs[:, :, 0] = q
+        pairs[:, :, 1] = quads - q * 100
+        pairs = pairs.reshape(2, 4, x.size)
+        dig = np.empty((2, 9, x.size), np.uint8)  # each half's 9 digits, the first half's after a 0
+        dig[:, 0] = halves
+        tens = np.floor_divide(pairs, 10, out=dig[:, 1::2])
+        pairs -= tens * np.uint8(10)
+        dig[:, 2::2] = pairs
+        dig = dig.reshape(18, x.size)[1:]
         # the selections below are uint8 arithmetic: np.where is slow on bytes
-        col = np.arange(18, dtype=np.int16)[:, None]
-        last = ((dig != 0) * col[:17]).max(axis=0)  # %g drops zeros after the last nonzero digit
-        fixed = (e >= -4) & (e <= 16)
-        lead = fixed & (e < 0)  # 0.000ddd
-        before = np.where(fixed, np.maximum(e, -1), 0)  # digits 0..before precede the point
+        col = np.arange(18, dtype=np.uint8)[:, None]
+        last = (dig != 0).view(np.uint8)  # a uint8 buffer to multiply in place
+        last *= col[:17]
+        last = last.max(axis=0)  # %g drops zeros after the last nonzero digit
+        form = (e + np.int16(4)).view(np.uint16)  # 0..3: 0.000ddd, 4..20: fixed, more: exponent
+        before = (e * (e.view(np.uint16) <= 16)).astype(np.uint8)  # the point follows digit before
+        point = last > before
+        point &= form >= 4
         out = np.empty((_FIELD, x.size), np.uint8)
-        out[0] = 45 * (x < 0)
-        for row, table in zip((1, 2, 3, 4, 5, 24, 25, 26, 27, 28), self.by_e):
-            table.take(e + _E, out=out[row], mode="clip")  # |e| <= 251 here
-        area = out[6:24]  # digits 0..unmoved, then the point slot, then the other digits
-        kept = (dig + 48) * (col[:17] <= np.maximum(last, before))
-        area[:17] = kept
+        np.multiply(x < 0, np.uint8(45), out=out[0])
+        zeros = ((form < 4) * (1 - e)).astype(np.uint8)  # bytes of "0.000" before the digits
+        np.multiply(np.frombuffer(b"0.000", np.uint8)[:, None], col[:5] < zeros, out=out[1:6])
+        area = out[6:24]  # digits 0..before, the point slot, the other digits
+        np.add(dig, np.uint8(48), out=area[:17])
+        area[:17] *= col[:17] <= np.maximum(last, before)
         area[17] = 0
-        unmoved = np.where(lead, 16, before)
-        area[1:] += (kept - area[1:]) * (col[1:] > unmoved)
-        area += (np.uint8(46) * ((last > before) & ~lead) - area) * (col == unmoved + 1)
-        odd = np.flatnonzero(~direct)  # zeros, infinities, NaNs and values the split cannot take
-        v = x[odd]
-        special = (v == 0) | ~np.isfinite(v)
-        if special.any():
+        unmoved = np.uint8(17) - point * (np.uint8(17) - before)  # 17: no digit moves
+        shift = area[:17] - area[1:]
+        shift *= col[1:] > unmoved
+        area[1:] += shift
+        at = np.flatnonzero(point)
+        out.reshape(-1)[(before[at] + 7).astype(np.intp) * x.size + at] = 46
+        sci = form > 20
+        if sci.any():  # exponent form: the digits move up to byte 1, "e+XXX" follows them
+            moved = area * sci
+            sci = np.flatnonzero(sci)
+            area -= moved
+            out[1:19] += moved
+            out[19:24, sci] = self.by_e.take(ie[sci], axis=1)
+        slow = np.flatnonzero(np.abs(frac, out=frac) > 0.5 - 1e-6)  # ties round half to even
+        if odd is not None:
+            v = x[odd]
+            special = (v == 0) | ~np.isfinite(v)
             v = v[special]
             out[:-1, odd[special]] = self.special[np.where(v == 0, np.signbit(v),
                                                            np.where(np.isnan(v), 4, 2 + (v < 0)))].T
-        slow = np.concatenate([np.flatnonzero(tie), odd[~special]])
+            slow = np.concatenate([slow, odd[~special]])
         for i in slow.tolist():
             out[:-1, i] = list(("%.17g" % x[i]).encode().ljust(_FIELD - 1, b"\0"))
         return out, slow.size
@@ -293,10 +331,10 @@ class RowWriter:
         if self.filled:
             fields, slow = self.text.fields(self.block[:self.filled].ravel())
             self.slow += slow
+            width = self.block.shape[1]
             fields[-1] = 44
-            rows = fields.T.reshape(self.filled, -1)  # row-major values to rows of fields
-            rows[:, -1] = 10
-            self.fh.write(rows.tobytes().translate(None, b"\0"))
+            fields[-1, width - 1::width] = 10  # each row's last separator
+            self.fh.write(fields.T.tobytes().translate(None, b"\0"))
             self.filled = 0
 
 
@@ -317,11 +355,14 @@ def write_csv_rows(path, header, columns):
     D = round(|x| * 10**(16 - X)) come from an error-free product of x with
     a double pair for 10**(16 - X) (Dekker 1971), whose error is far below
     1e-6 of a unit of D, and X is corrected when D falls outside
-    [1e16, 1e17).  The text is then laid out from a byte template as %g
-    does.  Python's ``%`` formats a value only where the product cannot
-    certify the rounding: D's fraction lies within 1e-6 of 1/2 (ties round
-    half to even), or |x| lies outside [1e-250, 1e250], where the split
-    product could underflow or overflow.
+    [1e16, 1e17).  The text is then laid out as %g does in a template of
+    _FIELD bytes per value, one byte row across the block at a time (D's
+    digits by 4-digit groups, then pairs), and the block's templates are
+    transposed once into row order and written without their NUL bytes.
+    Python's ``%`` formats a value only where the product cannot certify
+    the rounding: D's fraction lies within 1e-6 of 1/2 (ties round half to
+    even), or |x| lies outside [1e-250, 1e250], where the split product
+    could underflow or overflow.
     """
     with open(path, "wb") as fh:
         rows = RowWriter(fh, header)

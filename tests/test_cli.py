@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 import warnings
 
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import misoid.csvcolumns
 import misoid.experiment
 import misoid.kernels
 import misoid.lyapunov
@@ -376,24 +376,29 @@ class TestRunWriters:
                              ids=["central", "distributed", "central-unexpected"])
     def test_a_failing_estimator_stops_the_other(self, tmp_path, capsys, monkeypatch, failing,
                                                   error):
-        # the other estimator, forked or not, stops at its next chunk: the
-        # command takes about as long as a chunk of the draw, not as long as
-        # the other estimator's whole run and CSV; an unexpected error in
-        # the child stops it too
+        # the other estimator, forked or not, stops at its next chunk: its
+        # writer formats about a chunk of the draw's rows, not its whole
+        # run; an unexpected error in the child stops it too.  Each flushed
+        # block's row count goes to a file, which a forked writer appends to
+        # as well
         other = "distributed" if failing == "central" else "central"
         system = _gen_system(tmp_path)
-        start = time.perf_counter()
-        assert main(_run_argv(system, other, tmp_path / "one", samples=10000)) == 0
-        whole = time.perf_counter() - start
+        counts, flush = tmp_path / "rows", misoid.csvcolumns.RowWriter.flush
+
+        def counted(writer):
+            with open(counts, "a") as fh:
+                fh.write(f"{writer.filled}\n")
+            flush(writer)
 
         def fail(*args):
             raise error(f"the {failing} kernel failed")
 
+        monkeypatch.setattr(misoid.csvcolumns.RowWriter, "flush", counted)
         monkeypatch.setattr(misoid.kernels, failing, fail)
         capsys.readouterr()
-        start = time.perf_counter()
         code = main(_run_argv(system, "both", tmp_path / "x", samples=10000))
-        assert time.perf_counter() - start < whole / 3
+        formatted = sum(map(int, counts.read_text().split())) if counts.exists() else 0
+        assert formatted < 10000 / 3, f"the {other} writer formatted {formatted} rows"
         _no_child_left()
         out, err = capsys.readouterr()
         if error is NumericError:

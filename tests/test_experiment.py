@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from misoid import experiment, kernels, lyapunov
-from misoid.csvcolumns import first_crossing, write_csv_rows
+from misoid.csvcolumns import CSV_BLOCK, RowWriter, first_crossing, write_csv_rows
 from misoid.errors import NumericError, ParameterError
 from misoid.experiment import (
     ExperimentConfig,
@@ -388,6 +388,35 @@ class TestTrajectoryCsv:
             assert slow >= values.size // 2
         if case == "short_decimals":
             assert slow == 0
+
+    @pytest.mark.parametrize("piece", [1, 7, 71, 512, None], ids=lambda p: f"piece{p or 'all'}")
+    @pytest.mark.parametrize("width", [1, 3, 115, CSV_BLOCK + 5])
+    def test_writer_geometry(self, tmp_path, width, piece):
+        # rows appended in pieces, over blocks of many rows or one row each,
+        # give the bytes of one write_csv_rows call and of Python's %; each
+        # row ends in a tie, which % formats, before its newline
+        rows = CSV_BLOCK // width * 2 + 3  # two full blocks and part of a third
+        rng = np.random.default_rng(width)
+        kinds = [rng.uniform(1e-4, 1, 4000),  # 0.000ddd
+                 rng.uniform(1, 10, 4000) * 10.0 ** rng.choice([-300, -20, -5, 17, 40, 300], 4000),
+                 rng.uniform(0, 1e6, 4000),  # point within the digits
+                 rng.integers(-10**6, 10**6, 4000).astype(float),
+                 np.array([0.0, -0.0, np.inf, -np.inf, np.nan])]
+        pool = np.concatenate(kinds)
+        pool *= rng.choice([-1.0, 1.0], pool.size)
+        values = rng.choice(pool, (rows, width))
+        ties = _stress_floats("exact_ties")
+        values[:, -1] = rng.choice(ties[:ties.size // 2], rows)  # the ties and their negatives
+        header = [f"c{j}" for j in range(width)]
+        path, whole = tmp_path / "pieces.csv", tmp_path / "whole.csv"
+        with open(path, "wb") as fh:
+            writer = RowWriter(fh, header)
+            for start in range(0, rows, piece or rows):
+                writer.append([values[start:start + (piece or rows)]])
+            writer.flush()
+        assert write_csv_rows(whole, header, [values]) == writer.slow >= rows
+        expected = "".join(",".join(["%.17g"] * width) % tuple(row) + "\n" for row in values.tolist())
+        assert path.read_bytes() == whole.read_bytes() == (",".join(header) + "\n" + expected).encode()
 
     def test_writer_without_rows_writes_the_header(self, tmp_path):
         path = tmp_path / "empty.csv"
