@@ -14,8 +14,9 @@ renamed onto their targets only when every estimator and write
 succeeded, and every line is printed by this process, in mode order.
 ``run --mode both`` runs the central estimator in a forked child, which
 reports its exit code through its exit status and its lines through a
-pipe; the two share one failure flag, and when one estimator fails, the
-other stops at its next chunk.
+pipe; the two share one failure flag, which each stream is built with
+and reads after each chunk, so when one estimator fails, the other stops
+at its next chunk.
 Importing this module sets OPENBLAS_THREAD_TIMEOUT to 20 unless it is
 set.  The ``misoid`` script and ``python -m misoid.cli`` run ``entry``,
 which is ``main`` without the cyclic garbage collector; ``main`` leaves
@@ -140,11 +141,9 @@ def _fork(job):
     """
     import signal  # here, not at the top: building its enums costs about 1 ms
 
-    try:
-        # with SIGCHLD ignored the child is reaped unseen and its exit code lost
-        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
-            return None
-    except AttributeError:  # no SIGCHLD on this platform
+    # no SIGCHLD on this platform, or with it ignored the child is reaped
+    # unseen and its exit code lost
+    if not hasattr(signal, "SIGCHLD") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
         return None
     reports, report = os.pipe()
     try:
@@ -177,30 +176,30 @@ def _commit(args, monitor, target_of, finish) -> int:
     temp as the stream's chunks come and returns the lines printed after
     ``info: wrote <target_of(mode)>``.
 
-    Every job but the last runs in a forked child.  The jobs share one
-    failure flag, a byte of an anonymous mapping made before the forks: a
-    job that raises, or this process when it is interrupted, sets it, and
-    every job reads it after each chunk and, once it is set, ends its
-    stream there, closes its CSV and sends no lines.  A child ended by a
-    signal sets no flag, so the other jobs then run to their end.  The
-    temporaries lie beside their targets and are renamed onto them, in
-    mode order, only when every job succeeded; else the first failure in
-    mode order is printed.  An I/O error on a temporary names its target.
+    Of two jobs (``run --mode both``), the first runs in a forked child.
+    The jobs share one failure flag, a byte of an anonymous mapping made
+    before the fork and given to each Stream: a job that raises, or this
+    process when it is interrupted, sets it, and each stream reads it
+    after each chunk and, once it is set, ends there, so its job closes
+    its CSV and sends no lines.  A child ended by a signal sets no flag,
+    so the other job then runs to its end.  The temporaries lie beside
+    their targets and are renamed onto them, in mode order, only when
+    every job succeeded; else the first failure in mode order is printed.
+    An I/O error on a temporary names its target.
     """
     import mmap
 
     from .experiment import Stream
 
     system, config = _setup(args)
-    streams = [Stream(mode, system, config, monitor) for mode in config.modes]
+    failed = mmap.mmap(-1, 1)
     targets = [target_of(mode) for mode in config.modes]
     temps = [f"{path}.{os.getpid()}.tmp" for path in targets]
-    failed = mmap.mmap(-1, 1)
+    jobs = [(Stream(mode, system, config, monitor, failed), target, temp)
+            for mode, target, temp in zip(config.modes, targets, temps)]
 
-    def job(i):
-        """Job i's exit code, and its lines, its one error line or none."""
-        stream, target, temp = streams[i], targets[i], temps[i]
-        stream.between = lambda: failed[0]
+    def job(stream, target, temp):
+        """The job's exit code, and its lines, its one error line or none."""
         try:
             text = finish(stream, temp)
         except BaseException as exc:
@@ -212,30 +211,29 @@ def _commit(args, monitor, target_of, finish) -> int:
             return _failure(exc)
         return (EXIT_OK, "") if failed[0] else (EXIT_OK, f"info: wrote {target}\n{text}")
 
-    # each job's exit code and text; each forked job's pid and report pipe
-    outcomes, children = [(EXIT_OK, "")] * len(temps), {}
+    # each job's exit code and text; the forked first job's pid and report pipe
+    outcomes, child = [(EXIT_OK, "")] * len(jobs), None
     try:
         try:
-            for i in range(len(temps) - 1):
-                if child := _fork(lambda i=i: job(i)):
-                    children[i] = child
-            for i in range(len(temps)):
-                if i not in children and not failed[0]:
-                    outcomes[i] = job(i)
+            child = len(jobs) > 1 and _fork(lambda: job(*jobs[0]))
+            # every job that the child does not run, in mode order
+            for i in range(bool(child), len(jobs)):
+                if not failed[0]:
+                    outcomes[i] = job(*jobs[i])
         except BaseException:  # an interrupt, say
             failed[0] = 1
             raise
         finally:
             # no child is left, nor writes, once the temporaries are removed
-            for i, (pid, reports) in children.items():
-                with reports:
+            if child:
+                with child[1] as reports:
                     text = reports.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                code = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
                 how = f"was ended by signal {-code}" if code < 0 else f"ended with exit code {code}"
                 # a child that was stopped ends with no text
                 silent = not text and not (code == 0 and failed[0])
-                outcomes[i] = (code, text) if code >= 0 and not silent else (
-                    EXIT_IO, f"error: I/O failure: the writer of {targets[i]} {how}\n")
+                outcomes[0] = (code, text) if code >= 0 and not silent else (
+                    EXIT_IO, f"error: I/O failure: the writer of {targets[0]} {how}\n")
         for code, text in outcomes:
             if code:
                 sys.stderr.write(text)

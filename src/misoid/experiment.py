@@ -12,7 +12,7 @@ records, all carried from chunk to chunk by their own state.
 run_estimator passes a whole draw through it as one chunk, and Stream
 draws and estimates STREAM_CHUNK steps at a time for the CLI, whose
 writers append each chunk to its CSV, so a streamed run's memory does not
-grow with N; a Stream ends early when its between predicate says so.
+grow with N; a Stream ends early once the stop flag it is built with is set.
 Chunks hold a multiple of the kernels' and the monitor's 16 steps, so
 both give the same bytes.  Monte Carlo calls the distributed kernel
 itself, on R outputs at once.  The kernels, the Lyapunov monitor and the
@@ -291,9 +291,10 @@ class Stream:
     steps at a time, so that it holds no array whose size grows with N.
 
     Iterating it runs the estimator once: it yields the run's consecutive
-    Trajectory chunks, and asks between(), when set, after each chunk is
-    estimated: when it returns true, the stream ends there, without the
-    chunk, so that a writer that is stopped formats no more rows.  Its
+    Trajectory chunks, and reads the flag stop[0], which another process
+    may set, after each chunk is estimated: once it is set, the stream
+    ends there, without the chunk, so that a stopped writer formats no
+    more rows.  Its
     generators are made with it, so that a process that makes its streams
     and then forks loads numpy's generators once (about 10-18 ms).  After
     each chunk, last is the chunk, and violations and orthogonal_steps
@@ -301,9 +302,9 @@ class Stream:
     of run_estimator on draw(system, config).
     """
 
-    def __init__(self, mode, system: MisoSystem, config: ExperimentConfig, monitor: bool):
+    def __init__(self, mode, system: MisoSystem, config: ExperimentConfig, monitor: bool, stop):
         self.mode, self.system, self.config = mode, system, config
-        self.monitor, self.between = monitor, None
+        self.monitor, self.stop = monitor, stop
         self.violations = self.orthogonal_steps = 0
         self.last, self.generators = None, _generators(config)
 
@@ -314,7 +315,7 @@ class Stream:
             if chunk.monitor is not None:
                 self.violations += len(chunk.monitor.violations)
                 self.orthogonal_steps += len(chunk.monitor.orthogonal_steps)
-            if self.between is not None and self.between():
+            if self.stop[0]:
                 return
             yield chunk
 

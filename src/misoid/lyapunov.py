@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvcolumns import RowWriter
 from .errors import DimensionError, NumericError, ParameterError
 from .fir import packed_layout
 
@@ -216,6 +215,8 @@ def write_monitor_csv(report, path):
     report is a MonitorReport, or an iterable of the consecutive reports of
     a run's chunks, written as they come.
     """
+    from .csvcolumns import RowWriter
+
     reports = [report] if isinstance(report, MonitorReport) else report
     with open(path, "wb") as fh:
         rows, k = RowWriter(fh, ["k", *(head for head, _ in MONITOR_COLUMNS)]), 0

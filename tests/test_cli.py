@@ -618,6 +618,16 @@ class TestMonitorCommand:
         assert (tmp_path / "m.csv").read_text() == "kept\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["m.csv", "sys.json"]
 
+    @pytest.mark.parametrize("mode", ["central", "distributed"])
+    def test_zero_samples_are_refused_before_any_file_io(self, tmp_path, capsys, mode):
+        # the refusal comes before the write, so a target in a missing
+        # directory is never reached: a usage error, not an I/O failure
+        system = _gen_system(tmp_path)
+        capsys.readouterr()
+        assert main(_monitor_argv(system, mode, tmp_path / "nodir" / "m.csv", samples=0)) == 1
+        assert capsys.readouterr() == ("", "error: no samples to monitor\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["sys.json"]
+
     def test_both_mode_rejected(self, tmp_path):
         system = _gen_system(tmp_path)
         assert main(["monitor", "--system", str(system), "--mode", "both",

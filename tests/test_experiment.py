@@ -136,7 +136,7 @@ class TestRunExperiment:
         def monitor_must_not_run(*args):
             raise AssertionError("the monitor ran on an overflowed error history")
 
-        monkeypatch.setattr(lyapunov, "check_trajectory", monitor_must_not_run)
+        monkeypatch.setattr(lyapunov.Monitor, "advance", monitor_must_not_run)
         system = MisoSystem((FirModule([1e200, -1e200]), FirModule([1e200])))
         cfg = ExperimentConfig(noise_std=0.0, samples=20)
         inputs, noise = generate_signals(system, cfg)
