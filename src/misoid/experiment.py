@@ -125,34 +125,17 @@ def build_regressors(system: MisoSystem, inputs) -> np.ndarray:
     return phis
 
 
-#: OpenBLAS runs a matrix-vector product of fewer multiply-adds than this on
-#: one thread (2304 times its default GEMM_MULTITHREAD_THRESHOLD of 4)
-_ONE_THREAD_GEMV = 9216
-
-
 def outputs_from_regressors(system: MisoSystem, phis, noise) -> np.ndarray:
-    """phis @ theta_true + noise, the product in row blocks of at most 64 rows.
+    """phis @ theta_true + noise, each row's product summed on its own.
 
-    A threaded product splits its rows between the threads, and a row's
-    last bits depend on where its split falls, so the block is halved to
-    4 rows at least until OpenBLAS runs it on one thread: the bytes do not
-    depend on the thread count below n = 1843, nor on how a streamed run
-    chunks its rows (STREAM_CHUNK is a multiple of every block).  numpy
-    computes a one-row product as a dot, which rounds otherwise than a
-    row of a longer product, so a last block of one row joins the block
-    before it.
+    np.einsum without optimize calls no BLAS: it sums each row's n
+    products in a loop of its own.  So on C-ordered rows, as
+    build_regressors makes them, a row's bits depend neither on the BLAS
+    thread count nor on which rows share the call, and a streamed run may
+    chunk its rows anywhere.  (A matrix product rounds a row otherwise
+    with the rows around it and the threads that split them.)
     """
-    theta = system.theta_true()
-    rows = 64
-    while rows > 4 and (rows + 1) * theta.size >= _ONE_THREAD_GEMV:
-        rows //= 2
-    clean = np.empty(len(phis))
-    start = 0
-    while start < len(phis):
-        end = start + rows + (len(phis) - start == rows + 1)
-        clean[start:end] = phis[start:end] @ theta
-        start = end
-    return clean + np.asarray(noise, dtype=float)
+    return np.einsum("ij,j->i", phis, system.theta_true()) + np.asarray(noise, dtype=float)
 
 
 def draw(system: MisoSystem, config: ExperimentConfig):
@@ -163,8 +146,8 @@ def draw(system: MisoSystem, config: ExperimentConfig):
     return phis, outputs_from_regressors(system, phis, noise)
 
 
-#: steps per chunk of a streamed run: a multiple of kernels.CHUNK and
-#: lyapunov.CHUNK, so that a run's bytes do not depend on it
+#: steps per chunk of a streamed run: a multiple of the 16 steps of
+#: kernels.CHUNK and lyapunov.CHUNK, so that a run's bytes do not depend on it
 STREAM_CHUNK = 512
 
 
@@ -173,13 +156,12 @@ def _drawn(system: MisoSystem, config: ExperimentConfig, generators):
     from the unused _generators(config).
 
     numpy's generators give the same values drawn in row chunks as drawn at
-    once, and each chunk's regressors read the p - 1 input rows before it.
-    A run of no samples is one empty chunk.  The whole (N, m) input array
-    is allocated once and never touched, so that a count memory could not
-    hold ends at once in MemoryError, as the whole-array draw does.
+    once, each chunk's regressors read the p - 1 input rows before it, and
+    a row's output does not depend on the rows drawn with it.  A run of no
+    samples is one empty chunk.  The whole (N, m) input array is allocated
+    once and never touched, so that a count memory could not hold ends at
+    once in MemoryError, as the whole-array draw does.
     """
-    from .kernels import CHUNK
-
     _check_samples(system, config.samples)
     np.empty((config.samples, system.m))
     rng_u, rng_v = generators
@@ -189,8 +171,6 @@ def _drawn(system: MisoSystem, config: ExperimentConfig, generators):
     start = 0
     while True:
         rows = min(STREAM_CHUNK, config.samples - start)
-        if config.samples - start - rows == 1:
-            rows -= CHUNK  # no last chunk of one row (see outputs_from_regressors)
         window = np.concatenate([past, rng_u.normal(0.0, 1.0, size=(rows, system.m))])
         phis = build_regressors(system, window)[len(past):]
         past = window[rows:]

@@ -30,6 +30,7 @@ from misoid.experiment import (
     read_trajectory_csv,
     run_central,
     run_distributed,
+    run_experiment,
     write_trajectory_csv,
 )
 from misoid.fir import load_system
@@ -166,6 +167,22 @@ class TestRun:
         lib_path = tmp_path / "lib.csv"
         write_trajectory_csv(traj, lib_path)
         assert lib_path.read_bytes() == (tmp_path / "gold-distributed.csv").read_bytes()
+
+    @pytest.mark.parametrize("samples", [513, 1025])
+    def test_streamed_run_matches_the_whole_draw(self, tmp_path, samples):
+        # run streams 512 steps at a time, so each ends in a chunk of one row
+        system_path = _gen_system(tmp_path, modules=100, max_order=2)
+        prefix = tmp_path / "x"
+        assert main(["run", "--system", str(system_path), "--mode", "both", "--monitor",
+                     "--samples", str(samples), "--sigma", "0.1", "--gamma", "100",
+                     "--init-c", "100", "--seed", "1", "--out-prefix", str(prefix)]) == 0
+        _no_child_left()
+        config = ExperimentConfig(seed=1, noise_std=0.1, gamma=100.0, init_c=100.0,
+                                  samples=samples)
+        result = run_experiment(config, load_system(system_path), monitor=True)
+        for mode in config.modes:
+            write_trajectory_csv(getattr(result, mode), tmp_path / "lib.csv")
+            assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / f"x-{mode}.csv").read_bytes()
 
     def test_monitor_flag_appends_columns(self, tmp_path):
         system = _gen_system(tmp_path)
@@ -503,12 +520,15 @@ def test_run_memory_does_not_grow_with_samples(tmp_path):
     assert peaks[1] - peaks[0] < 300_000
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count():
-    # n = 156: a product over all 3500 rows splits them between two threads at
-    # row 1750, which changed the last bits of the outputs from there on
+@pytest.mark.parametrize("m, order_range, samples", [(100, (1, 2), 3500), (1000, (1, 3), 600)],
+                         ids=["n156", "n2040"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(m, order_range, samples):
+    # a threaded matrix product splits the rows between the threads, and a row's
+    # last bits depend on where its split falls (at n = 156, from row 1750 of
+    # 3500); the outputs call no BLAS, at any n
     code = ("import hashlib; from misoid.experiment import ExperimentConfig, draw, random_system; "
-            "system = random_system(ExperimentConfig(seed=0, m=100, order_range=(1, 2))); "
-            "ys = draw(system, ExperimentConfig(seed=1, samples=3500))[1]; "
+            f"system = random_system(ExperimentConfig(seed=0, m={m}, order_range={order_range})); "
+            f"ys = draw(system, ExperimentConfig(seed=1, samples={samples}))[1]; "
             "print(hashlib.sha256(ys.tobytes()).hexdigest())")
     runs = [_python("-c", code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
     assert [run.returncode for run in runs] == [0, 0]

@@ -13,6 +13,7 @@ from misoid.experiment import (
     build_regressors,
     generate_signals,
     monte_carlo_distributed,
+    outputs_from_regressors,
     random_system,
     read_trajectory_csv,
     run_central,
@@ -92,6 +93,25 @@ class TestRegressors:
         for t in range(3):
             bank = push_inputs(bank, inputs[t])
             assert np.array_equal(phis[t], bank.stacked())
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("m, order_range", [(3, (1, 3)), (20, (1, 10)), (1000, (1, 3))],
+                             ids=["m3", "m20", "m1000"])
+    def test_a_row_does_not_depend_on_its_call(self, m, order_range):
+        # a streamed run computes its outputs a chunk of rows at a time
+        system = random_system(ExperimentConfig(seed=7, m=m, order_range=order_range))
+        inputs, noise = generate_signals(system, ExperimentConfig(seed=1, samples=300))
+        phis = build_regressors(system, inputs)
+        whole = outputs_from_regressors(system, phis, noise)
+        for k in range(len(phis)):
+            single = outputs_from_regressors(system, phis[k:k + 1], noise[k:k + 1])
+            assert single.tobytes() == whole[k:k + 1].tobytes()
+        for rows in (2, 5, 65, 129):
+            for start in (0, 3, 100):
+                part = slice(start, start + rows)
+                got = outputs_from_regressors(system, phis[part], noise[part])
+                assert got.tobytes() == whole[part].tobytes()
 
 
 class TestRunExperiment:

@@ -1,9 +1,8 @@
 """Golden bytes: the sha256 of every CSV, stdout and stderr of ``run`` and ``monitor``.
 
 The digests pin the outputs of a small system at lengths around the
-kernels' and the monitor's 16-step chunks, the 64-row blocks of the
-outputs' products and a streamed run's 512-step chunks, and at lengths
-that are no multiple of any.  Any change to the
+kernels' and the monitor's 16-step chunks and a streamed run's 512-step
+chunks, and at lengths that are no multiple of either.  Any change to the
 arithmetic, its order, or the text of a value changes a digest.
 
 The bytes depend on the BLAS kernels numpy runs, so the digests hold for
@@ -61,94 +60,94 @@ GOLDEN = {
         "monitor-distributed": "595c088046854646",
     },
     15: {
-        "run-central": "394b8589a398e16b",
-        "run-distributed": "089a4b85ad5993b0",
-        "run-both": "9b2566bdc28d3dc7",
-        "run-central-monitor": "4add36bd2f7d7038",
-        "run-distributed-monitor": "2c1487a959df9ced",
-        "run-both-monitor": "a81dc3c8ed0f2803",
-        "monitor-central": "02135af186b23f09",
-        "monitor-distributed": "ec46f4a7e2ca6cd1",
+        "run-central": "760a2d5e0db03403",
+        "run-distributed": "269493128694ffb5",
+        "run-both": "896b1e18facc8ad7",
+        "run-central-monitor": "261c415ecc202188",
+        "run-distributed-monitor": "db08c1038dc3fb5e",
+        "run-both-monitor": "2d4136bbfd846b6e",
+        "monitor-central": "6cdde6d3a555c530",
+        "monitor-distributed": "415097cbcc45c56d",
     },
     16: {
-        "run-central": "a9110b2078aa2b72",
-        "run-distributed": "3f49e9ea669dea25",
-        "run-both": "0a8f7a6761470d60",
-        "run-central-monitor": "2460b739be92356f",
-        "run-distributed-monitor": "4887ffd88f606a1b",
-        "run-both-monitor": "17c17a80cedda8e0",
-        "monitor-central": "88a41b7e946ecdca",
-        "monitor-distributed": "0c3062277005c696",
+        "run-central": "425f047aceb8f3e1",
+        "run-distributed": "249277cdaaff3baf",
+        "run-both": "ed4d091d80f2975d",
+        "run-central-monitor": "3eecd139d0b9a256",
+        "run-distributed-monitor": "359c492e2c9616d3",
+        "run-both-monitor": "c166349b4d51eff2",
+        "monitor-central": "94ae50166b93b074",
+        "monitor-distributed": "f770e9de8fb06c19",
     },
     17: {
-        "run-central": "48902302dbe3bdbf",
-        "run-distributed": "462e75148f720b34",
-        "run-both": "fe5c09b418c6c341",
-        "run-central-monitor": "334d722b5d595c23",
-        "run-distributed-monitor": "fa95793f04650b6f",
-        "run-both-monitor": "bd705b2febe7e05b",
-        "monitor-central": "28800f59093eaa71",
-        "monitor-distributed": "54ff35a4c528677d",
+        "run-central": "8d7af265dce94e4f",
+        "run-distributed": "58eea397035e70f4",
+        "run-both": "5cebad4d1aa30140",
+        "run-central-monitor": "b6f4a5ea3eb9349d",
+        "run-distributed-monitor": "f73332d6d7d7ae2f",
+        "run-both-monitor": "7effe6337098d7fc",
+        "monitor-central": "f6422e15db1501bf",
+        "monitor-distributed": "dcbd43b36251cb15",
     },
     63: {
-        "run-central": "815766a0d1f26d97",
-        "run-distributed": "b2c86ac08fe98a2b",
-        "run-both": "19a2ae75ed62ee16",
-        "run-central-monitor": "c80f975756adb3d2",
-        "run-distributed-monitor": "33b08e77a02ec1be",
-        "run-both-monitor": "faeda94b1493b099",
-        "monitor-central": "d59a332ce5e55d9b",
-        "monitor-distributed": "3327bbf627e9662c",
+        "run-central": "c60fb793edd393ee",
+        "run-distributed": "59a5a75ffaccf422",
+        "run-both": "3880b054dd577115",
+        "run-central-monitor": "b15d2d982cd3859b",
+        "run-distributed-monitor": "d2d54f590f089489",
+        "run-both-monitor": "6e4cd719522575ec",
+        "monitor-central": "19f1db09dd74f054",
+        "monitor-distributed": "4aa784f3cf5c865d",
     },
     64: {
-        "run-central": "10fda4e845c78b4c",
-        "run-distributed": "c0b33f3dec58e1d3",
-        "run-both": "7a01078770e74afe",
-        "run-central-monitor": "ea7db758eaf1b266",
-        "run-distributed-monitor": "e6df53371ca98819",
-        "run-both-monitor": "40318e255872781e",
-        "monitor-central": "fbf67b909a839f7e",
-        "monitor-distributed": "0221b559129fba51",
+        "run-central": "c4343a0612185139",
+        "run-distributed": "f98463c3fe89fb6e",
+        "run-both": "11e315904767a1b7",
+        "run-central-monitor": "15a39318522c75e5",
+        "run-distributed-monitor": "62cb73b6dfa42250",
+        "run-both-monitor": "3344fc06ce72225d",
+        "monitor-central": "ebe7fdb374554bd5",
+        "monitor-distributed": "7cea98b44e518f41",
     },
     65: {
-        "run-central": "6a9420c839fe4d71",
-        "run-distributed": "38cbe0b277c98cbd",
-        "run-both": "881f090cdb3513f3",
-        "run-central-monitor": "cbcf4cd9c445b973",
-        "run-distributed-monitor": "8bd6d89b10afca06",
-        "run-both-monitor": "a9c26412321c7c1b",
-        "monitor-central": "1d3fae818b54b491",
-        "monitor-distributed": "1554233087f765dd",
+        "run-central": "5886e62df9985b04",
+        "run-distributed": "4095e1628e655259",
+        "run-both": "fd9fcc376d18a0de",
+        "run-central-monitor": "775fea4a7f73e2a9",
+        "run-distributed-monitor": "7f81bf0276b8251f",
+        "run-both-monitor": "f204da628b009ec3",
+        "monitor-central": "61347e8f93e6f46f",
+        "monitor-distributed": "f8738c804f5785bc",
     },
     200: {
-        "run-central": "3d12cb800835717b",
-        "run-distributed": "ad9a2e06a2391cf6",
-        "run-both": "091f96d2729bff33",
-        "run-central-monitor": "21b123582721c3a6",
-        "run-distributed-monitor": "c558bd994e3cfb17",
-        "run-both-monitor": "6f7d47a88ba5606a",
-        "monitor-central": "f0680cd9a57f2675",
-        "monitor-distributed": "d869aa321753047e",
+        "run-central": "a6131645a254e27e",
+        "run-distributed": "ee579a89664ba58b",
+        "run-both": "6d5433e6f3e45b95",
+        "run-central-monitor": "707aa8aa257e0a70",
+        "run-distributed-monitor": "e664ca42ce0ca316",
+        "run-both-monitor": "4569f784a359ca30",
+        "monitor-central": "1959d249a7f8fde0",
+        "monitor-distributed": "5dee1394d090068a",
     },
     513: {
-        "run-central": "af794a3eb656e7c8",
-        "run-distributed": "dd9dc08e947c8bfc",
-        "run-both": "0a26c523fa6b3c45",
-        "run-central-monitor": "03edfc6b79ad2d06",
-        "run-distributed-monitor": "16f07c2b2a876bf2",
-        "run-both-monitor": "51eee832f182b5b6",
-        "monitor-central": "ddc4f5284442562f",
-        "monitor-distributed": "311dddcfe9c94e85",
+        "run-central": "8b7b9140e68c05b3",
+        "run-distributed": "ef7879959e04d031",
+        "run-both": "284d1729c2e7a5dc",
+        "run-central-monitor": "003109882179ff9c",
+        "run-distributed-monitor": "6e7d92a4bcff5c7a",
+        "run-both-monitor": "1577fa812b116aba",
+        "monitor-central": "59b1359278dabaf8",
+        "monitor-distributed": "a99af88ea253b9bb",
     },
     1000: {
-        "run-central": "acbdd66240acc8d5",
-        "run-distributed": "c29b8919c3a70ef3",
-        "run-both": "c51f553f91e5393e",
-        "run-central-monitor": "786beb11ac7969ae",
-        "run-distributed-monitor": "6cde31caf25d2235",
-        "run-both-monitor": "decddaf6e193516f",
-        "monitor-central": "b73a734c0d66ce4c",
-        "monitor-distributed": "8cb6cfe93cbefbda",
+        "run-central": "d13d42d9e25e07c5",
+        "run-distributed": "4ce54aefd4e33d35",
+        "run-both": "ac6c8d2caa89ae7d",
+        "run-central-monitor": "911d8f901109f167",
+        "run-distributed-monitor": "759cdd8140aaadc0",
+        "run-both-monitor": "af8d56037ee62586",
+        "monitor-central": "88530cbbfc775174",
+        "monitor-distributed": "bf24453b75022e65",
     },
 }
 
