@@ -2,10 +2,11 @@
 
 The reader returns float lists and needs no numpy, so ``misoid compare``
 needs only this module; ``experiment``'s reader wraps ``read_columns`` for
-numpy callers.  The writer, ``write_csv_rows``, writes every value of its
-numpy arrays as ``%.17g`` of its float, which for the step index and the
-0/1 flags is their ``%d`` text, exact up to magnitude 2**53.  It imports
-numpy in each function it runs, so importing this module loads no numpy.
+numpy callers.  The writer, ``write_steps``, numbers the steps of every
+run and monitor CSV and writes every value of its numpy arrays as
+``%.17g`` of its float, which for the step index and the 0/1 flags is
+their ``%d`` text, exact up to magnitude 2**53.  It imports numpy in each
+function it runs, so importing this module loads no numpy.
 """
 from __future__ import annotations
 
@@ -110,7 +111,7 @@ def first_crossing(values: list[float], threshold_frac: float, metric: str = "me
     return next((k for k, value in enumerate(values) if value <= limit), None)
 
 
-#: values formatted per block by write_csv_rows
+#: values formatted per block by RowWriter
 CSV_BLOCK = 8192
 #: 2**27 + 1: Dekker's split of a double into two halves of 26 bits
 _SPLIT = 134217729.0
@@ -128,6 +129,17 @@ def _split(x):
 
 class _FloatText:
     """``%.17g`` text of float64 values, whole blocks at a time.
+
+    With X = floor(log10|x|), the 17 digits D = round(|x| * 10**(16 - X))
+    come from an error-free product of x with a double pair for
+    10**(16 - X) (Dekker 1971), whose error is far below 1e-6 of a unit of
+    D, and X is corrected when D falls outside [1e16, 1e17).  The text is
+    then laid out as %g does in a template of _FIELD bytes per value, one
+    byte row across the block at a time (D's digits by 4-digit groups,
+    then pairs).  Python's ``%`` formats a value only where the product
+    cannot certify the rounding: D's fraction lies within 1e-6 of 1/2
+    (ties round half to even), or |x| lies outside [1e-250, 1e250], where
+    the split product could underflow or overflow.
 
     pw holds, by decimal exponent e at e + _E, the (hi, lo) double pair of
     10**(16 - e) and Dekker's halves (hh, hl) of hi: hi is the power
@@ -284,14 +296,17 @@ class _FloatText:
 
 
 class RowWriter:
-    """Rows of float columns appended to a binary file, as write_csv_rows writes them.
+    """Rows of float columns appended to a binary file, in the text of write_steps.
 
     The writer writes the header at once.  append takes the next rows as
-    write_csv_rows takes its columns; the rows are copied into one block of
-    about CSV_BLOCK values, which is formatted and written whenever it is
-    full, and flush writes what is left.  So a file written in any number
-    of appends has the bytes, and the blocks, of one write_csv_rows call.
-    slow counts the values that Python's ``%`` formatted.
+    1-D arrays or 2-D arrays of several columns, one row per step, with as
+    many columns in all as header has names; the rows are copied into one
+    block of about CSV_BLOCK values, which is formatted and written
+    whenever it is full, and flush writes what is left.  A block's
+    templates are transposed once into row order and written without
+    their NUL bytes.  So a file written in any number of appends has the
+    bytes, and the blocks, of one append.  slow counts the values that
+    Python's ``%`` formatted.
     """
 
     def __init__(self, fh, header):
@@ -338,34 +353,24 @@ class RowWriter:
             self.filled = 0
 
 
-def write_csv_rows(path, header, columns):
-    """Header then one row per step, in the text of Python's ``%``.
+def write_steps(path, header, chunks):
+    """k, then header's columns, one row per step, in the text of Python's ``%``.
 
-    columns are 1-D arrays or 2-D arrays of several columns, one row per
-    step, with as many columns in all as header has names.  Every value is
-    written as ``%.17g`` of its float, which is the same text as
+    chunks yields each chunk's columns, as RowWriter.append takes them;
+    k counts the steps from 0 across the chunks.  Every value is written
+    as ``%.17g`` of its float, which is the same text as
     ``format(x, '.17g')``, inf, nan and -0 included, and the file's bytes
     are those of ``"%.17g,%.17g,...\\n" % row`` for every row.  For the step
     index and 0/1 flag columns that text is their ``%d`` text, as for every
     integer of magnitude up to 2**53.  Returns how many values were
-    formatted by ``%`` itself.
-
-    Values are formatted in numpy, a RowWriter block of CSV_BLOCK values
-    at a time.  With X = floor(log10|x|), the 17 digits
-    D = round(|x| * 10**(16 - X)) come from an error-free product of x with
-    a double pair for 10**(16 - X) (Dekker 1971), whose error is far below
-    1e-6 of a unit of D, and X is corrected when D falls outside
-    [1e16, 1e17).  The text is then laid out as %g does in a template of
-    _FIELD bytes per value, one byte row across the block at a time (D's
-    digits by 4-digit groups, then pairs), and the block's templates are
-    transposed once into row order and written without their NUL bytes.
-    Python's ``%`` formats a value only where the product cannot certify
-    the rounding: D's fraction lies within 1e-6 of 1/2 (ties round half to
-    even), or |x| lies outside [1e-250, 1e250], where the split product
-    could underflow or overflow.
+    formatted by ``%`` itself (see _FloatText).
     """
+    import numpy as np
+
     with open(path, "wb") as fh:
-        rows = RowWriter(fh, header)
-        rows.append(columns)
+        rows, k = RowWriter(fh, ["k", *header]), 0
+        for columns in chunks:
+            rows.append([np.arange(k, k + len(columns[0])), *columns])
+            k += len(columns[0])
         rows.flush()
     return rows.slow

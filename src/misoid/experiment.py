@@ -352,32 +352,26 @@ def monte_carlo_distributed(system: MisoSystem, config: ExperimentConfig) -> np.
 
 
 def write_trajectory_csv(trajectory, path):
-    """Header then one row per step, as csvcolumns.write_csv_rows writes it.
+    """k, err_norm_sq, the errors, eps and alpha, then any monitor columns,
+    one row per step, by csvcolumns.write_steps.
 
     trajectory is a Trajectory, or a Stream whose chunks are written as
     they come.
     """
-    from .csvcolumns import RowWriter
+    from .csvcolumns import write_steps
 
     if isinstance(trajectory, Trajectory):
-        chunks, n, monitor = [trajectory], trajectory.errors.shape[1], trajectory.monitor
+        chunks, n = [trajectory], trajectory.errors.shape[1]
     else:
-        chunks, n, monitor = trajectory, trajectory.system.n, trajectory.monitor
-    header = ["k", "err_norm_sq"] + [f"err_{j + 1}" for j in range(n)] + ["eps", "alpha"]
-    if monitor:
+        chunks, n = trajectory, trajectory.system.n
+    header = ["err_norm_sq", *(f"err_{j + 1}" for j in range(n)), "eps", "alpha"]
+    if trajectory.monitor:
         from .lyapunov import MONITOR_COLUMNS
 
         header += [head for head, _ in MONITOR_COLUMNS]
-    with open(path, "wb") as fh:
-        rows, k = RowWriter(fh, header), 0
-        for chunk in chunks:
-            columns = [np.arange(k, k + chunk.samples), chunk.err_norm_sq, chunk.errors,
-                       chunk.eps, chunk.alpha]
-            if chunk.monitor is not None:
-                columns += chunk.monitor.columns().values()
-            rows.append(columns)
-            k += chunk.samples
-        rows.flush()
+    write_steps(path, header, ([c.err_norm_sq, c.errors, c.eps, c.alpha,
+                                *(c.monitor.columns().values() if c.monitor else ())]
+                               for c in chunks))
 
 
 def read_trajectory_csv(path, names=None) -> dict[str, np.ndarray]:

@@ -209,18 +209,10 @@ def check_trajectory(mode: str, errors, phis, alphas, noise_var: float, init_c: 
     return Monitor(mode, noise_var, init_c, weights, offsets).advance(errors, phis, alphas, gains)
 
 
-def write_monitor_csv(report, path):
-    """k, then the monitor columns, one row per record.
+def write_monitor_csv(reports, path):
+    """k, then the monitor columns, one row per record of reports, the
+    consecutive reports of a run's chunks, written as they come."""
+    from .csvcolumns import write_steps
 
-    report is a MonitorReport, or an iterable of the consecutive reports of
-    a run's chunks, written as they come.
-    """
-    from .csvcolumns import RowWriter
-
-    reports = [report] if isinstance(report, MonitorReport) else report
-    with open(path, "wb") as fh:
-        rows, k = RowWriter(fh, ["k", *(head for head, _ in MONITOR_COLUMNS)]), 0
-        for chunk in reports:
-            rows.append([np.arange(k, k + len(chunk.records)), *chunk.columns().values()])
-            k += len(chunk.records)
-        rows.flush()
+    write_steps(path, [head for head, _ in MONITOR_COLUMNS],
+                ([*report.columns().values()] for report in reports))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from misoid import experiment, kernels, lyapunov
-from misoid.csvcolumns import CSV_BLOCK, RowWriter, first_crossing, write_csv_rows
+from misoid.csvcolumns import CSV_BLOCK, RowWriter, first_crossing, write_steps
 from misoid.errors import NumericError, ParameterError
 from misoid.experiment import (
     ExperimentConfig,
@@ -253,7 +253,7 @@ def test_distributed_paths_hold_no_n_by_n_array(run):
 
 
 def _stress_floats(case):
-    """About 30 000 to 80 000 floats that stress one step of write_csv_rows' formatter."""
+    """About 30 000 to 80 000 floats that stress one step of the CSV writer's formatter."""
     rng = np.random.default_rng(25)
     if case == "random_bits":  # every exponent, both signs, NaN payloads
         return rng.integers(0, 2**64, size=60_000, dtype=np.uint64).view(np.float64)
@@ -380,7 +380,7 @@ class TestTrajectoryCsv:
         big = np.finfo(float).max
         values = np.array([-0.0, 0.0, 5e-324, -5e-324, big, -big, np.inf, -np.inf, np.nan])
         path = tmp_path / "edge.csv"
-        write_csv_rows(path, ["k", "x"], [np.arange(values.size), values])
+        write_steps(path, ["x"], [[values]])
         cols = read_trajectory_csv(path, names)
         assert cols["x"].tobytes() == values.tobytes()  # sign of zero and NaN bits too
         if names is None:
@@ -399,7 +399,7 @@ class TestTrajectoryCsv:
         columns = [np.arange(rows), block, block[:, 0] > 0, ints, block[:, 1], steps, both]
         header = ["k", "a", "b", "c", "flag", "int", "d", "step", "both"]
         path = tmp_path / "stress.csv"
-        slow = write_csv_rows(path, header, columns)
+        slow = write_steps(path, header[1:], [columns[1:]])  # k is np.arange(rows)
         flat = [columns[0], *block.T, *columns[2:]]
         row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in flat)
         expected = [",".join(header), *(row_fmt % row for row in zip(*(c.tolist() for c in flat)))]
@@ -413,7 +413,7 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("width", [1, 3, 115, CSV_BLOCK + 5])
     def test_writer_geometry(self, tmp_path, width, piece):
         # rows appended in pieces, over blocks of many rows or one row each,
-        # give the bytes of one write_csv_rows call and of Python's %; each
+        # give the bytes of one append and of Python's %; each
         # row ends in a tie, which % formats, before its newline
         rows = CSV_BLOCK // width * 2 + 3  # two full blocks and part of a third
         rng = np.random.default_rng(width)
@@ -429,19 +429,22 @@ class TestTrajectoryCsv:
         values[:, -1] = rng.choice(ties[:ties.size // 2], rows)  # the ties and their negatives
         header = [f"c{j}" for j in range(width)]
         path, whole = tmp_path / "pieces.csv", tmp_path / "whole.csv"
-        with open(path, "wb") as fh:
-            writer = RowWriter(fh, header)
+        with open(path, "wb") as fh, open(whole, "wb") as once:
+            writer, one = RowWriter(fh, header), RowWriter(once, header)
             for start in range(0, rows, piece or rows):
                 writer.append([values[start:start + (piece or rows)]])
+            one.append([values])
             writer.flush()
-        assert write_csv_rows(whole, header, [values]) == writer.slow >= rows
+            one.flush()
+        assert one.slow == writer.slow >= rows
         expected = "".join(",".join(["%.17g"] * width) % tuple(row) + "\n" for row in values.tolist())
         assert path.read_bytes() == whole.read_bytes() == (",".join(header) + "\n" + expected).encode()
 
     def test_writer_without_rows_writes_the_header(self, tmp_path):
         path = tmp_path / "empty.csv"
-        assert write_csv_rows(path, ["k", "x", "f"], [np.arange(0), np.zeros((0, 1)),
-                                                     np.zeros(0, dtype=bool)]) == 0
+        assert write_steps(path, ["x", "f"], [[np.zeros((0, 1)), np.zeros(0, dtype=bool)]]) == 0
+        assert path.read_text() == "k,x,f\n"
+        assert write_steps(path, ["x", "f"], []) == 0
         assert path.read_text() == "k,x,f\n"
 
     def test_row_count_and_round_trip(self, tmp_path):

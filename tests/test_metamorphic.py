@@ -6,17 +6,22 @@ and the prediction errors by s.  For s = 2^j the scaling commutes with
 every rounding: products, quotients, sums of like-scaled terms and the
 Cholesky square roots, since sqrt(4^j x) = 2^j sqrt(x).  So the relation
 holds exactly, whatever order BLAS sums in, barring overflow and
-underflow.  Likewise, at sigma = 0, taps scaled by 2^j scale the outputs,
-and with them every estimate and error, by 2^j.
+underflow.  The protocol layer, the executable specification of both
+recursions, keeps the same relation, with its information matrices
+unchanged too.  Likewise, at sigma = 0, taps scaled by 2^j scale the
+outputs, and with them every estimate and error, by 2^j.  And the
+modules may be listed in any order: the distributed estimates permute
+with them.
 """
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from misoid import kernels
-from misoid.experiment import ExperimentConfig, draw, random_system
-from misoid.fir import FirModule, MisoSystem, block_offsets
+from misoid import central, distributed, kernels
+from misoid.experiment import (ExperimentConfig, build_regressors, draw, generate_signals,
+                               outputs_from_regressors, random_system)
+from misoid.fir import FirModule, MisoSystem, RegressorBank, block_offsets, push_inputs
 
 #: the paper's system size, at fewer steps
 CONFIG = ExperimentConfig(seed=7, m=20, order_range=(1, 10), samples=600)
@@ -76,3 +81,68 @@ def test_taps_scaled_by_a_power_of_two_scale_every_error(j, mode):
         estimates = _kernel(mode, taps, phis, ys, config.gamma, 0.0)[0]
         errors.append(estimates - taps.theta_true())
     assert np.array_equal(errors[1], np.ldexp(errors[0], j))
+
+
+#: a system small enough for the object-level protocol, step by step
+SMALL = ExperimentConfig(seed=5, m=4, order_range=(1, 3), samples=40)
+
+
+def _protocol(system, inputs, phis, ys, gamma, sigma):
+    """Central rls_update_gamma and distributed run_round from theta = 0:
+    each step's central state, and each round's nodes and trace."""
+    state = central.from_scratch_init(system.n, SMALL.init_c, sigma**2, mode="gamma")
+    nodes = distributed.init_nodes(system.orders, SMALL.init_c, gamma)
+    center = distributed.FusionCenter(sigma**2, system.m)
+    bank, states, rounds = RegressorBank.for_system(system), [], []
+    for k in range(len(ys)):
+        state = central.rls_update_gamma(state, phis[k], ys[k], gamma)
+        bank = push_inputs(bank, inputs[k])
+        nodes, trace = distributed.run_round(nodes, center, bank, ys[k], k)
+        states.append(state)
+        rounds.append((nodes, trace))
+    return states, rounds
+
+
+@pytest.mark.parametrize("j", [-20, -3, 5, 30])
+def test_input_scaling_keeps_every_protocol_state(j):
+    # rls_update_gamma returns no alpha or eps, so those are read from
+    # the distributed round's trace
+    system = random_system(SMALL)
+    inputs, noise = generate_signals(system, SMALL)
+    phis = build_regressors(system, inputs)
+    ys, s = outputs_from_regressors(system, phis, noise), 2.0**j
+    gamma, sigma = SMALL.gamma, SMALL.noise_std
+    states, rounds = _protocol(system, inputs, phis, ys, gamma, sigma)
+    scaled = _protocol(system, inputs * s, phis * s, ys * s, gamma * s, sigma * s)
+    for state, other in zip(states, scaled[0]):
+        for field in ("theta_hat", "sigma_mat", "info_mat"):
+            assert np.array_equal(getattr(other, field), getattr(state, field)), field
+    for (nodes, trace), (others, other) in zip(rounds, scaled[1]):
+        for node, scaled_node in zip(nodes, others):
+            for field in ("theta_hat", "sigma", "info"):
+                assert np.array_equal(getattr(scaled_node, field), getattr(node, field)), field
+        assert other.down.alpha * s**2 == trace.down.alpha
+        assert other.down.prediction_error / s == trace.down.prediction_error
+
+
+@pytest.fixture(scope="module")
+def paper_run(paper_draw):
+    """The distributed kernel's estimates on the paper draw, and the draw."""
+    system, phis, outputs = paper_draw
+    estimates = _kernel("distributed", system, phis, outputs[1], CONFIG.gamma,
+                        CONFIG.noise_std)[0]
+    return system, phis, outputs[1], estimates
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_distributed_estimates_permute_with_the_modules(paper_run, seed):
+    # not bit for bit: the shared gain (gains.sum) and the estimate's
+    # increments (phi @ c.T) add the blocks' terms in another order
+    system, phis, ys, estimates = paper_run
+    order = np.random.default_rng(seed).permutation(system.m)
+    offsets = block_offsets(system.orders)
+    columns = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in order])
+    permuted = MisoSystem(tuple(system.modules[i] for i in order))
+    got = _kernel("distributed", permuted, phis[:, columns], ys, CONFIG.gamma,
+                  CONFIG.noise_std)[0]
+    assert np.max(np.abs(got - estimates[:, columns])) <= 1e-13 * np.max(np.abs(estimates))
